@@ -18,7 +18,14 @@ import numpy as np
 
 from . import bounds
 from .linalg import DEFAULT_TOL
-from .metrics import FusionFrame, cross_gramian, fusion_frame_operator
+from .metrics import (
+    FusionFrame,
+    _frobenius_sq,
+    _pair_blocks,
+    _stack,
+    cross_gramian,
+    fusion_frame_operator,
+)
 
 __all__ = [
     "Certificate",
@@ -107,6 +114,7 @@ class Certificate:
 
 
 def _pair_gramians(f: FusionFrame):
+    """Cross-Gramian of each pair in turn, for the unit-vector predicates."""
     for j, jj in f.pairs():
         yield j, jj, cross_gramian(f.bases[j], f.bases[jj]).array
 
@@ -123,33 +131,27 @@ def is_tight_fusion_frame(f: FusionFrame, tol: float = DEFAULT_TOL) -> Tightness
     return TightnessResult(flag=residual <= tol, residual=residual, alpha=alpha)
 
 
+def _equichordal(overlaps: np.ndarray, tol: float) -> EquichordalResult:
+    beta = float(np.mean(overlaps))
+    deviation = float(np.abs(overlaps - beta).max())
+    return EquichordalResult(flag=deviation <= tol * max(1.0, beta), beta=beta, deviation=deviation)
+
+
 def is_equichordal(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquichordalResult:
     """Check that all pairwise squared Frobenius cross-Gramian norms agree."""
     if f.n < 2:
         raise ValueError("equi-chordality needs at least two subspaces")
-    overlaps = [float(np.vdot(g, g).real) for _, _, g in _pair_gramians(f)]
-    beta = float(np.mean(overlaps))
-    deviation = max(abs(o - beta) for o in overlaps)
-    return EquichordalResult(flag=deviation <= tol * max(1.0, beta), beta=beta, deviation=deviation)
+    return _equichordal(_frobenius_sq(_pair_blocks(_stack(f))), tol)
 
 
-def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicResult:
-    """Check that every cross-Gramian is sigma times a unitary.
-
-    For each pair the product G* G must equal sigma_sq I, with sigma_sq
-    estimated as the mean of (1/c)||G||_F^2 over pairs. The equivalent
-    projection-operator identity P2 P1 P2 = sigma_sq P2 is verified on
-    the first pair as a consistency check and folded into the flag.
-    """
-    if f.n < 2:
-        raise ValueError("equi-isoclinicity needs at least two subspaces")
+def _equiisoclinic(
+    f: FusionFrame, overlaps: np.ndarray, svals: np.ndarray, tol: float
+) -> EquiisoclinicResult:
+    # ||G* G - sigma_sq I||_F from the singular values s of G: G* G has
+    # eigenvalues s^2, so the deviation is the 2-norm of s^2 - sigma_sq.
     c = f.c
-    grams = [(j, jj, g) for j, jj, g in _pair_gramians(f)]
-    sigma_sq = float(np.mean([np.vdot(g, g).real / c for _, _, g in grams]))
-    eye = np.eye(c)
-    deviation = max(
-        float(np.linalg.norm(g.conj().T @ g - sigma_sq * eye)) for _, _, g in grams
-    )
+    sigma_sq = float(np.mean(overlaps / c))
+    deviation = float(np.sqrt(((np.square(svals) - sigma_sq) ** 2).sum(axis=-1).max()))
     a0 = f.bases[0].array
     a1 = f.bases[1].array
     p0 = a0 @ a0.conj().T
@@ -163,6 +165,20 @@ def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicR
         deviation=deviation,
         projection_residual=projection_residual,
     )
+
+
+def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicResult:
+    """Check that every cross-Gramian is sigma times a unitary.
+
+    For each pair the product G* G must equal sigma_sq I, with sigma_sq
+    estimated as the mean of (1/c)||G||_F^2 over pairs. The equivalent
+    projection-operator identity P2 P1 P2 = sigma_sq P2 is verified on
+    the first pair as a consistency check and folded into the flag.
+    """
+    if f.n < 2:
+        raise ValueError("equi-isoclinicity needs at least two subspaces")
+    blocks = _pair_blocks(_stack(f))
+    return _equiisoclinic(f, _frobenius_sq(blocks), np.linalg.svd(blocks, compute_uv=False), tol)
 
 
 def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
@@ -180,8 +196,14 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     n, d, c = f.n, f.d, f.c
 
     tight = is_tight_fusion_frame(f, tol)
-    chordal = is_equichordal(f, tol)
-    iso = is_equiisoclinic(f, tol)
+    # Every pairwise quantity below comes from this one (P, c, c) array
+    # and its singular values.
+    blocks = _pair_blocks(_stack(f))
+    overlaps = _frobenius_sq(blocks)
+    svals = np.linalg.svd(blocks, compute_uv=False)
+    del blocks
+    chordal = _equichordal(overlaps, tol)
+    iso = _equiisoclinic(f, overlaps, svals, tol)
 
     beta_expected = bounds.simplex_bound_gram(n, d, c)
     sigma_expected = bounds.eitff_bound(n, d, c)
@@ -196,12 +218,8 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
         and abs(iso.sigma_sq - sigma_expected) <= tol * max(1.0, abs(sigma_expected))
     )
 
-    max_frob = 0.0
-    max_spec = 0.0
-    for _, _, g in _pair_gramians(f):
-        max_frob = max(max_frob, float(np.vdot(g, g).real))
-        s = np.linalg.svd(g, compute_uv=False)
-        max_spec = max(max_spec, float(s[0]) ** 2)
+    max_frob = float(overlaps.max())
+    max_spec = float(svals[:, 0].max()) ** 2
 
     ortho = bounds.orthoplex_bound(n, d, c, f.field)
     orthoplex_gap = None if ortho is None else max_frob - ortho.gram

@@ -1,13 +1,13 @@
 """Dense-matrix kernel over the real and complex fields.
 
 Every higher layer (subspace metrics, packing bounds, certification, the
-numerical search) runs on the handful of operations defined here:
-products, adjoints, norms, singular values, QR orthonormalization with a
-fixed sign convention, and Kronecker products. Entries are always stored
-as complex128; a ``FieldTag`` records whether a matrix lives over R or C
-and gates constructions and dimension formulas, not storage. All values
-are immutable and all functions are pure, so everything is safe to share
-across threads.
+numerical search) runs on the handful of operations defined here: the
+field-tagged matrix type, the adjoint, singular values, and QR
+orthonormalization with a fixed sign convention. Entries are always
+stored as complex128; a ``FieldTag`` records whether a matrix lives over
+R or C and gates constructions and dimension formulas, not storage. All
+values are immutable and all functions are pure, so everything is safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -22,14 +22,8 @@ __all__ = [
     "Mat",
     "NumericalError",
     "adjoint",
-    "frobenius_inner",
-    "frobenius_norm",
-    "join_fields",
-    "kron",
-    "matmul",
     "orthonormalize",
     "singular_values",
-    "spectral_norm",
 ]
 
 # Global default tolerance, calibrated for scale-1 quantities in double
@@ -46,13 +40,6 @@ class FieldTag(enum.Enum):
 
     REAL = "R"
     COMPLEX = "C"
-
-
-def join_fields(a: FieldTag, b: FieldTag) -> FieldTag:
-    """Smallest field containing both operands' fields."""
-    if a is FieldTag.COMPLEX or b is FieldTag.COMPLEX:
-        return FieldTag.COMPLEX
-    return FieldTag.REAL
 
 
 class Mat:
@@ -112,31 +99,6 @@ def adjoint(a: Mat) -> Mat:
     return Mat(a.array.conj().T, a.field)
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    """Matrix product a @ b."""
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch for product: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    return Mat(a.array @ b.array, join_fields(a.field, b.field))
-
-
-def frobenius_inner(a: Mat, b: Mat) -> complex:
-    """Frobenius (Hilbert-Schmidt) inner product Tr(a* b).
-
-    Conjugate-linear in the first argument; real and nonnegative when
-    a == b.
-    """
-    if a.array.shape != b.array.shape:
-        raise ValueError(
-            f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
-        )
-    return complex(np.vdot(a.array, b.array))
-
-
-def frobenius_norm(a: Mat) -> float:
-    """Entrywise 2-norm."""
-    return float(np.linalg.norm(a.array))
-
-
 def singular_values(a: Mat) -> np.ndarray:
     """Singular values, nonincreasing, clamped to be nonnegative.
 
@@ -151,25 +113,21 @@ def singular_values(a: Mat) -> np.ndarray:
     return np.maximum(s, 0.0)
 
 
-def spectral_norm(a: Mat) -> float:
-    """Largest singular value."""
-    return float(singular_values(a)[0])
-
-
 def _qr_columns(arr: np.ndarray) -> np.ndarray:
     """Orthonormalize columns by reduced QR with nonnegative-real diag(R).
 
-    The phase correction makes the factorization (and hence this
+    ``arr`` is one d x c matrix or a stack (..., d, c) of them; a stack
+    is factored in one call, matrix by matrix, with the same result as a
+    loop. The phase correction makes the factorization (and hence this
     function) deterministic: multiplying column k of Q by the phase of
     R[k,k] leaves Q@R unchanged while forcing diag(R) >= 0. No rank
     check is performed here.
     """
     q, r = np.linalg.qr(arr)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     absd = np.abs(d)
-    safe = np.where(absd == 0.0, 1.0, absd)
-    phase = np.where(absd == 0.0, np.ones_like(d), d / safe)
-    return q * phase
+    phase = np.divide(d, absd, out=np.ones_like(d), where=absd != 0.0)
+    return q * phase[..., None, :]
 
 
 def orthonormalize(a: Mat, tol: float = DEFAULT_TOL) -> Mat:
@@ -191,7 +149,3 @@ def orthonormalize(a: Mat, tol: float = DEFAULT_TOL) -> Mat:
     work = a.array.real if a.field is FieldTag.REAL else a.array
     return Mat(_qr_columns(work), a.field)
 
-
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product in standard block layout: block (i,j) is a[i,j]*b."""
-    return Mat(np.kron(a.array, b.array), join_fields(a.field, b.field))

@@ -8,10 +8,16 @@ fusion Gram matrix and fusion frame operator, principal angles, and the
 chordal / spectral / geodesic distances between subspaces. All pairwise
 quantities are invariant under the choice of orthonormal basis within
 each subspace.
+
+Frame-wide quantities over all pairs are read off one product: the
+fusion Gram matrix X* X of the bases stacked as an (n, d, c) array. The
+private helpers that build it are shared with ``certify``, ``optimize``
+and ``cli``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Iterator, Sequence
 
@@ -203,6 +209,55 @@ def cross_gramian(b1: SubspaceBasis, b2: SubspaceBasis) -> Mat:
     return Mat(b1.array.conj().T @ b2.array, b1.field)
 
 
+def _stack(bases: FusionFrame | Sequence[np.ndarray]) -> np.ndarray:
+    """The bases as one (n, d, c) array.
+
+    A frame over R stacks as float64 and one over C as complex128; a
+    sequence (or stack) of d x c arrays is taken as it is.
+    """
+    if isinstance(bases, FusionFrame):
+        if bases.field is FieldTag.REAL:
+            return np.stack([b.array.real for b in bases.bases])
+        return np.stack([b.array for b in bases.bases])
+    return np.asarray(bases)
+
+
+@functools.lru_cache(maxsize=32)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs j < j', in FusionFrame.pairs() order."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """The d x nc matrix [X_1 ... X_n] of all basis vectors of an (n, d, c) stack."""
+    n, d, c = x.shape
+    return x.transpose(1, 0, 2).reshape(d, n * c)
+
+
+def _gram_blocks(x: np.ndarray) -> np.ndarray:
+    """The fusion Gram matrix X* X of an (n, d, c) stack, as n x n blocks.
+
+    One matrix product over all nc basis vectors; entry [j, j'] of the
+    returned (n, n, c, c) view is the cross-Gramian X_j* X_j'.
+    """
+    n, _, c = x.shape
+    flat = _flat(x)
+    return (flat.conj().T @ flat).reshape(n, c, n, c).transpose(0, 2, 1, 3)
+
+
+def _pair_blocks(x: np.ndarray) -> np.ndarray:
+    """Cross-Gramians of all pairs j < j' of an (n, d, c) stack, as (P, c, c)."""
+    return _gram_blocks(x)[_triu(x.shape[0])]
+
+
+def _frobenius_sq(blocks: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a (..., c, c) stack."""
+    return np.einsum("...kl,...kl->...", blocks.conj(), blocks).real
+
+
 def fusion_gram(f: FusionFrame) -> Mat:
     """Block Gram matrix of all nc basis vectors, nc x nc.
 
@@ -210,24 +265,21 @@ def fusion_gram(f: FusionFrame) -> Mat:
     blocks are exactly the identity and the lower triangle mirrors the
     upper, so the result is self-adjoint by construction.
     """
-    n, c = f.n, f.c
-    out = np.zeros((n * c, n * c), dtype=np.complex128)
-    eye = np.eye(c)
-    for j in range(n):
-        out[j * c : (j + 1) * c, j * c : (j + 1) * c] = eye
-    for j, jj in f.pairs():
-        block = f.bases[j].array.conj().T @ f.bases[jj].array
-        out[j * c : (j + 1) * c, jj * c : (jj + 1) * c] = block
-        out[jj * c : (jj + 1) * c, j * c : (j + 1) * c] = block.conj().T
-    return Mat(out, f.field)
+    n = f.n
+    blocks = _gram_blocks(_stack(f))
+    rows, cols = _triu(n)
+    blocks[cols, rows] = blocks[rows, cols].conj().swapaxes(-2, -1)
+    blocks[range(n), range(n)] = np.eye(f.c)
+    return Mat(blocks.transpose(0, 2, 1, 3).reshape(n * f.c, n * f.c), f.field)
 
 
 def fusion_frame_operator(f: FusionFrame) -> Mat:
-    """Sum of the n orthogonal projections, a d x d PSD matrix of trace nc."""
-    acc = np.zeros((f.d, f.d), dtype=np.complex128)
-    for b in f.bases:
-        acc += b.array @ b.array.conj().T
-    return Mat(acc, f.field)
+    """Sum of the n orthogonal projections, a d x d PSD matrix of trace nc.
+
+    Computed as the one product X X* of the d x nc matrix of all bases.
+    """
+    flat = _flat(_stack(f))
+    return Mat(flat @ flat.conj().T, f.field)
 
 
 def principal_angles(b1: SubspaceBasis, b2: SubspaceBasis) -> PrincipalAngles:
@@ -268,7 +320,8 @@ def min_chordal_packing(f: FusionFrame) -> float:
     """Smallest pairwise squared chordal distance (the squared packing radius)."""
     if f.n < 2:
         raise ValueError("packing radius needs at least two subspaces")
-    return min(chordal_distance_sq(f.bases[j], f.bases[jj]) for j, jj in f.pairs())
+    dist = f.c - _frobenius_sq(_pair_blocks(_stack(f)))
+    return float(np.clip(dist, 0.0, f.c).min())
 
 
 def coherence(f: FusionFrame) -> float:
@@ -277,10 +330,7 @@ def coherence(f: FusionFrame) -> float:
         raise ValueError(f"coherence is defined for unit vectors (c = 1), got c = {f.c}")
     if f.n < 2:
         raise ValueError("coherence needs at least two vectors")
-    return max(
-        abs(complex(cross_gramian(f.bases[j], f.bases[jj]).array[0, 0]))
-        for j, jj in f.pairs()
-    )
+    return float(np.abs(_pair_blocks(_stack(f))).max())
 
 
 def traceless_embed(b: SubspaceBasis) -> Mat:

@@ -34,8 +34,19 @@ import numpy as np
 from . import bounds
 from .certify import Certificate, certify
 from .construct import random_frame
-from .linalg import FieldTag, Mat, NumericalError, _qr_columns, singular_values
-from .metrics import FusionFrame, SubspaceBasis, cross_gramian
+from .linalg import FieldTag, Mat, NumericalError, _qr_columns
+# cross_gramian is unused here but stays importable: bench/tracing.py
+# wraps grasspack.optimize.cross_gramian.
+from .metrics import (  # noqa: F401
+    FusionFrame,
+    SubspaceBasis,
+    _flat,
+    _frobenius_sq,
+    _pair_blocks,
+    _stack,
+    _triu,
+    cross_gramian,
+)
 
 __all__ = [
     "Criterion",
@@ -96,15 +107,30 @@ class PackResult:
     restart_index: int
 
 
-def _pair_value(a: np.ndarray, b: np.ndarray, criterion: Criterion, power: int) -> float:
-    g = a.conj().T @ b
+def _pair_values(
+    blocks: np.ndarray, criterion: Criterion, power: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Overlap of each cross-Gramian in a (P, c, c) stack.
+
+    Chordal: ||G||_F^2. Spectral: (Tr[M^p])^(1/p) with M = G* G, returned
+    together with M^(p-1) and Tr[M^p], which the gradient reuses.
+    """
     if criterion is Criterion.CHORDAL_OVERLAP:
-        return float(np.vdot(g, g).real)
-    m = g.conj().T @ g
-    t = float(np.trace(np.linalg.matrix_power(m, power)).real)
-    if t <= 0.0:
-        return 0.0
-    return t ** (1.0 / power)
+        return _frobenius_sq(blocks), None, None
+    m = blocks.conj().swapaxes(-2, -1) @ blocks
+    m_pm1 = np.linalg.matrix_power(m, power - 1)
+    t = np.einsum("...kl,...lk->...", m_pm1, m).real
+    # Round-off can leave t slightly negative; NaN passes through.
+    return np.maximum(t, 0.0) ** (1.0 / power), m_pm1, t
+
+
+def _soft_max(vals: np.ndarray, smoothing: float) -> tuple[float, np.ndarray]:
+    """Log-sum-exp soft max, shifted by the max for overflow safety, and
+    the normalized weights that are its derivative in ``vals``."""
+    vmax = vals.max()
+    weights = np.exp(smoothing * (vals - vmax))
+    total = weights.sum()
+    return float(vmax + math.log(total) / smoothing), weights / total
 
 
 def smoothed_objective(
@@ -115,23 +141,16 @@ def smoothed_objective(
 ) -> float:
     """Soft max of the pairwise overlaps of arbitrary d x c matrices.
 
+    ``mats`` is a sequence of n d x c arrays or one (n, d, c) array.
     Orthonormal columns are not required, which makes this directly
     usable in finite-difference checks. The log-sum-exp is shifted by
     the running max for overflow safety.
     """
-    n = len(mats)
     # Overflow to inf on pathological inputs is deliberate; the descent
     # loop detects it and rejects the step (or raises NumericalError).
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.array(
-            [
-                _pair_value(mats[j], mats[jj], criterion, power)
-                for j in range(n)
-                for jj in range(j + 1, n)
-            ]
-        )
-        m = vals.max()
-        return float(m + math.log(np.exp(smoothing * (vals - m)).sum()) / smoothing)
+        vals, _, _ = _pair_values(_pair_blocks(_stack(mats)), criterion, power)
+        return _soft_max(vals, smoothing)[0]
 
 
 def smoothed_objective_and_gradient(
@@ -139,77 +158,61 @@ def smoothed_objective_and_gradient(
     criterion: Criterion = Criterion.CHORDAL_OVERLAP,
     smoothing: float = 200.0,
     power: int = SPECTRAL_SMOOTHING_POWER,
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """Objective value together with its gradient in the matrix entries.
 
-    For complex matrices the returned arrays are conjugate (Wirtinger)
+    The gradient is an (n, d, c) array whose j-th entry is the gradient
+    in ``mats[j]``. For complex matrices these are conjugate (Wirtinger)
     gradients, so a step along their negative decreases the objective to
     first order and the real and imaginary parts match entrywise finite
     differences.
+
+    For each pair j < j' with cross-Gramian G = X_j* X_j' and soft-max
+    weight w, let H_jj' = 2w G (chordal) or 2w t^(1/p-1) G M^(p-1)
+    (spectral, M = G* G, t = Tr[M^p]), and H_j'j = H_jj'*. Gradient j' is
+    then the sum over j of X_j H_jj': one product of the d x nc matrix of
+    all bases with the nc x nc block matrix H.
     """
-    n = len(mats)
-    pairs = [(j, jj) for j in range(n) for jj in range(j + 1, n)]
-    vals = np.empty(len(pairs))
-    grams = []
-    for idx, (j, jj) in enumerate(pairs):
-        g = mats[j].conj().T @ mats[jj]
-        grams.append(g)
-        if criterion is Criterion.CHORDAL_OVERLAP:
-            vals[idx] = np.vdot(g, g).real
-        else:
-            m = g.conj().T @ g
-            t = float(np.trace(np.linalg.matrix_power(m, power)).real)
-            vals[idx] = t ** (1.0 / power) if t > 0.0 else 0.0
-
-    vmax = vals.max()
-    weights = np.exp(smoothing * (vals - vmax))
-    total = weights.sum()
-    objective = float(vmax + math.log(total) / smoothing)
-    weights /= total
-
-    grads = [np.zeros_like(m) for m in mats]
-    for idx, (j, jj) in enumerate(pairs):
-        w = weights[idx]
-        if w == 0.0:
-            continue
-        g = grams[idx]
-        if criterion is Criterion.CHORDAL_OVERLAP:
-            grads[j] += (2.0 * w) * (mats[jj] @ g.conj().T)
-            grads[jj] += (2.0 * w) * (mats[j] @ g)
-        else:
-            m = g.conj().T @ g
-            t = float(np.trace(np.linalg.matrix_power(m, power)).real)
-            if t <= 0.0:
-                continue
-            m_pm1 = np.linalg.matrix_power(m, power - 1)
-            coef = 2.0 * w * t ** (1.0 / power - 1.0)
-            grads[j] += coef * (mats[jj] @ m_pm1 @ g.conj().T)
-            grads[jj] += coef * (mats[j] @ g @ m_pm1)
-    return objective, grads
+    x = _stack(mats)
+    n, d, c = x.shape
+    blocks = _pair_blocks(x)
+    vals, m_pm1, t = _pair_values(blocks, criterion, power)
+    objective, weights = _soft_max(vals, smoothing)
+    if criterion is Criterion.CHORDAL_OVERLAP:
+        h = (2.0 * weights)[:, None, None] * blocks
+    else:
+        with np.errstate(divide="ignore"):
+            coef = np.where(t > 0.0, 2.0 * weights * t ** (1.0 / power - 1.0), 0.0)
+        h = coef[:, None, None] * (blocks @ m_pm1)
+    rows, cols = _triu(n)
+    full = np.zeros((n, n, c, c), dtype=h.dtype)
+    full[rows, cols] = h
+    full[cols, rows] = h.conj().swapaxes(-2, -1)
+    grad = _flat(x) @ full.transpose(0, 2, 1, 3).reshape(n * c, n * c)
+    return objective, grad.reshape(d, n, c).transpose(1, 0, 2)
 
 
 def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:
     """The true (unsmoothed) criterion value: the worst pairwise overlap."""
     if f.n < 2:
         raise ValueError("overlap needs at least two subspaces")
-    worst = 0.0
-    for j, jj in f.pairs():
-        g = cross_gramian(f.bases[j], f.bases[jj])
-        if criterion is Criterion.CHORDAL_OVERLAP:
-            worst = max(worst, float(np.vdot(g.array, g.array).real))
-        else:
-            worst = max(worst, float(singular_values(g)[0]) ** 2)
-    return worst
+    blocks = _pair_blocks(_stack(f))
+    if criterion is Criterion.CHORDAL_OVERLAP:
+        return float(_frobenius_sq(blocks).max())
+    try:
+        s = np.linalg.svd(blocks, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge: {exc}") from exc
+    return float(s[:, 0].max()) ** 2
 
 
-def _descend(
-    mats: list[np.ndarray], config: PackConfig
-) -> tuple[list[np.ndarray], int]:
+def _descend(mats: np.ndarray, config: PackConfig) -> tuple[np.ndarray, int]:
     """Backtracking gradient descent with QR retraction after every step.
 
-    Returns the final matrices and the number of iterations that
-    accepted a step. Stops early once no step down to step_size/2^20
-    decreases the smoothed objective.
+    ``mats`` is the (n, d, c) stack of the starting bases. Returns the
+    final stack and the number of iterations that accepted a step. Stops
+    early once no step down to step_size/2^20 decreases the smoothed
+    objective.
     """
     fval = smoothed_objective(mats, config.criterion, config.smoothing)
     if not math.isfinite(fval):
@@ -217,12 +220,12 @@ def _descend(
     used = 0
     for _ in range(config.iterations):
         _, grads = smoothed_objective_and_gradient(mats, config.criterion, config.smoothing)
-        if all(not g.any() for g in grads):
+        if not grads.any():
             break
         step = config.step_size
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
-            trial = [_qr_columns(m - step * g) for m, g in zip(mats, grads)]
+            trial = _qr_columns(mats - step * grads)
             ftrial = smoothed_objective(trial, config.criterion, config.smoothing)
             if math.isfinite(ftrial) and ftrial < fval:
                 mats, fval = trial, ftrial
@@ -237,14 +240,7 @@ def _descend(
     return mats, used
 
 
-def _as_arrays(f: FusionFrame) -> list[np.ndarray]:
-    # Real frames descend in float64; complex ones in complex128.
-    if f.field is FieldTag.REAL:
-        return [b.array.real.copy() for b in f.bases]
-    return [b.array.copy() for b in f.bases]
-
-
-def _as_frame(mats: Sequence[np.ndarray], field: FieldTag) -> FusionFrame:
+def _as_frame(mats: np.ndarray, field: FieldTag) -> FusionFrame:
     return FusionFrame(SubspaceBasis(Mat(m, field)) for m in mats)
 
 
@@ -270,7 +266,7 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
     best: tuple[float, int, FusionFrame, int] | None = None
     for r, seed in enumerate(restart_seeds):
         start = random_frame(field, d, c, n, seed)
-        mats, used = _descend(_as_arrays(start), config)
+        mats, used = _descend(_stack(start), config)
         frame = _as_frame(mats, field)
         achieved = worst_overlap(frame, config.criterion)
         if best is None or achieved < best[0]:
@@ -298,7 +294,7 @@ def polish(f: FusionFrame, config: PackConfig = PackConfig()) -> PackResult:
     if f.n < 2:
         raise ValueError(f"need n >= 2 subspaces, got n = {f.n}")
     initial_achieved = worst_overlap(f, config.criterion)
-    mats, used = _descend(_as_arrays(f), config)
+    mats, used = _descend(_stack(f), config)
     frame = _as_frame(mats, f.field)
     achieved = worst_overlap(frame, config.criterion)
     if achieved > initial_achieved:

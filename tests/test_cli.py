@@ -6,6 +6,7 @@ from grasspack.certify import certify
 from grasspack.cli import frame_from_json_obj, frame_to_json_obj, load_frame, run, save_frame
 from grasspack.construct import DifferenceSet, harmonic_etf, regular_simplex, tensor_eitff
 from grasspack.linalg import FieldTag, NumericalError
+from grasspack.metrics import FusionFrame
 
 
 def run_capture(capsys, *argv):
@@ -26,6 +27,38 @@ class TestFrameFileFormat:
         assert loaded.field is frame.field
         for a, b in zip(frame.bases, loaded.bases):
             assert a.array.tobytes() == b.array.tobytes()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            regular_simplex(4),
+            FusionFrame.from_arrays([[[-0.0], [1.0]], [[1.0], [-0.0]]], FieldTag.REAL),
+            tensor_eitff(harmonic_etf(DifferenceSet(7, [1, 2, 4])), 2),
+            FusionFrame.from_arrays(
+                [[[complex(-0.0, 1.0)], [complex(0.0, -0.0)]], [[complex(-0.0, -0.0)], [complex(-1.0, 0.0)]]],
+                FieldTag.COMPLEX,
+            ),
+        ],
+        ids=["real", "real-signed-zeros", "complex", "complex-signed-zeros"],
+    )
+    def test_saved_bytes_match_entrywise_encoder(self, frame, tmp_path):
+        # Reference: the entry-by-entry encoder the vectorized one replaced.
+        real = frame.field is FieldTag.REAL
+        bases = []
+        for b in frame.bases:
+            a = b.array
+            if real:
+                rows = [[float(a[i, k].real) for k in range(frame.c)] for i in range(frame.d)]
+            else:
+                rows = [
+                    [[float(a[i, k].real), float(a[i, k].imag)] for k in range(frame.c)]
+                    for i in range(frame.d)
+                ]
+            bases.append(rows)
+        obj = {"field": frame.field.value, "d": frame.d, "c": frame.c, "n": frame.n, "bases": bases}
+        path = tmp_path / "frame.json"
+        save_frame(frame, str(path))
+        assert path.read_bytes() == (json.dumps(obj) + "\n").encode("utf-8")
 
     def test_save_load_file(self, tmp_path):
         path = str(tmp_path / "frame.json")

@@ -104,8 +104,10 @@ class TestObjective:
         assert grads[k][idx].real == pytest.approx(fd_re, rel=1e-4, abs=1e-10)
         assert grads[k][idx].imag == pytest.approx(fd_im, rel=1e-4, abs=1e-10)
 
+    @pytest.mark.filterwarnings("error")
     def test_descend_rejects_non_finite_start(self):
-        huge = [np.full((2, 1), 1e200), np.full((2, 1), 1e200)]
+        # The overflow itself must stay quiet: any warning fails the test.
+        huge = np.full((2, 2, 1), 1e200)
         with pytest.raises(NumericalError):
             _descend(huge, PackConfig(iterations=5, restarts=1))
 
