@@ -12,17 +12,18 @@ rather than privileging the first pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import bounds
 from .linalg import DEFAULT_TOL
-from .metrics import (
+# cross_gramian is unused here but stays importable: bench/tracing.py
+# wraps grasspack.certify.cross_gramian.
+from .metrics import (  # noqa: F401
     FusionFrame,
     _frobenius_sq,
     _pair_blocks,
-    _stack,
     cross_gramian,
     fusion_frame_operator,
 )
@@ -94,29 +95,7 @@ class Certificate:
     tolerance: float
 
     def as_dict(self) -> dict:
-        return {
-            "is_tight": self.is_tight,
-            "tight_residual": self.tight_residual,
-            "alpha": self.alpha,
-            "is_equichordal": self.is_equichordal,
-            "beta": self.beta,
-            "beta_deviation": self.beta_deviation,
-            "is_equiisoclinic": self.is_equiisoclinic,
-            "sigma_sq": self.sigma_sq,
-            "sigma_deviation": self.sigma_deviation,
-            "is_ectff": self.is_ectff,
-            "is_eitff": self.is_eitff,
-            "simplex_gap": self.simplex_gap,
-            "eitff_gap": self.eitff_gap,
-            "orthoplex_gap": self.orthoplex_gap,
-            "tolerance": self.tolerance,
-        }
-
-
-def _pair_gramians(f: FusionFrame):
-    """Cross-Gramian of each pair in turn, for the unit-vector predicates."""
-    for j, jj in f.pairs():
-        yield j, jj, cross_gramian(f.bases[j], f.bases[jj]).array
+        return asdict(self)
 
 
 def is_tight_fusion_frame(f: FusionFrame, tol: float = DEFAULT_TOL) -> TightnessResult:
@@ -141,7 +120,7 @@ def is_equichordal(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquichordalResul
     """Check that all pairwise squared Frobenius cross-Gramian norms agree."""
     if f.n < 2:
         raise ValueError("equi-chordality needs at least two subspaces")
-    return _equichordal(_frobenius_sq(_pair_blocks(_stack(f))), tol)
+    return _equichordal(_frobenius_sq(_pair_blocks(f.array)), tol)
 
 
 def _equiisoclinic(
@@ -152,8 +131,7 @@ def _equiisoclinic(
     c = f.c
     sigma_sq = float(np.mean(overlaps / c))
     deviation = float(np.sqrt(((np.square(svals) - sigma_sq) ** 2).sum(axis=-1).max()))
-    a0 = f.bases[0].array
-    a1 = f.bases[1].array
+    a0, a1 = f.array[0], f.array[1]
     p0 = a0 @ a0.conj().T
     p1 = a1 @ a1.conj().T
     projection_residual = float(np.linalg.norm(p1 @ p0 @ p1 - sigma_sq * p1))
@@ -177,7 +155,7 @@ def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicR
     """
     if f.n < 2:
         raise ValueError("equi-isoclinicity needs at least two subspaces")
-    blocks = _pair_blocks(_stack(f))
+    blocks = _pair_blocks(f.array)
     return _equiisoclinic(f, _frobenius_sq(blocks), np.linalg.svd(blocks, compute_uv=False), tol)
 
 
@@ -198,7 +176,7 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     tight = is_tight_fusion_frame(f, tol)
     # Every pairwise quantity below comes from this one (P, c, c) array
     # and its singular values.
-    blocks = _pair_blocks(_stack(f))
+    blocks = _pair_blocks(f.array)
     overlaps = _frobenius_sq(blocks)
     svals = np.linalg.svd(blocks, compute_uv=False)
     del blocks
@@ -259,10 +237,9 @@ def is_equiangular(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiangularResul
     _require_vectors(f, "equiangularity")
     if f.n < 2:
         raise ValueError("equiangularity needs at least two vectors")
-    sq = [abs(complex(g[0, 0])) ** 2 for _, _, g in _pair_gramians(f)]
-    beta = float(np.mean(sq))
-    deviation = max(abs(v - beta) for v in sq)
-    return EquiangularResult(flag=deviation <= tol * max(1.0, beta), beta=beta, deviation=deviation)
+    # For c = 1 the squared cross-Gramian norm is the squared inner product.
+    r = _equichordal(_frobenius_sq(_pair_blocks(f.array)), tol)
+    return EquiangularResult(flag=r.flag, beta=r.beta, deviation=r.deviation)
 
 
 def is_etf(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
@@ -274,14 +251,12 @@ def is_etf(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
     _require_vectors(f, "the ETF property")
     if f.n < 2:
         return False
-    ea = is_equiangular(f, tol)
-    tf = is_unit_norm_tight_frame(f, tol)
-    if not (ea.flag and tf.flag):
+    sq = _frobenius_sq(_pair_blocks(f.array))
+    if not (_equichordal(sq, tol).flag and is_unit_norm_tight_frame(f, tol).flag):
         return False
     # Tightness forces n >= d, so the Welch bound is well-defined here.
-    coh_sq = max(abs(complex(g[0, 0])) ** 2 for _, _, g in _pair_gramians(f))
     w = bounds.welch_bound(f.n, f.d)
-    return abs(coh_sq - w) <= tol * max(1.0, w)
+    return abs(float(sq.max()) - w) <= tol * max(1.0, w)
 
 
 def is_regular_simplex(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
@@ -289,9 +264,6 @@ def is_regular_simplex(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
     _require_vectors(f, "the regular-simplex property")
     if f.n < 2:
         raise ValueError("a simplex needs at least two vectors")
+    g = _pair_blocks(f.array)[:, 0, 0]
     target = -1.0 / (f.n - 1)
-    for _, _, g in _pair_gramians(f):
-        val = complex(g[0, 0])
-        if abs(val.real - target) > tol or abs(val.imag) > tol:
-            return False
-    return True
+    return bool(np.all(np.abs(g.real - target) <= tol) and np.all(np.abs(g.imag) <= tol))

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +36,8 @@ from . import construct as construct_mod
 from . import metrics as metrics_mod
 from . import optimize as optimize_mod
 from .certify import Certificate, certify
-from .linalg import DEFAULT_TOL, FieldTag, Mat, NumericalError
-from .metrics import FusionFrame, SubspaceBasis, _stack
+from .linalg import DEFAULT_TOL, FieldTag, NumericalError
+from .metrics import FusionFrame
 
 __all__ = ["frame_from_json_obj", "frame_to_json_obj", "load_frame", "main", "run", "save_frame"]
 
@@ -74,23 +76,31 @@ def _parse_field(value: str) -> FieldTag:
 
 def frame_to_json_obj(f: FusionFrame) -> dict:
     """FrameFile object: real entries as numbers, complex as [re, im] pairs."""
-    x = _stack(f)
+    x = f.array
     entries = x if f.field is FieldTag.REAL else np.stack([x.real, x.imag], axis=-1)
     return {"field": f.field.value, "d": f.d, "c": f.c, "n": f.n, "bases": entries.tolist()}
 
 
-def _entry_to_complex(entry, real: bool, where: str) -> complex:
-    if real:
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise _UsageError(f"{where}: real frames need numeric entries, got {entry!r}")
-        return complex(float(entry), 0.0)
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in entry)
-    ):
-        raise _UsageError(f"{where}: complex frames need [re, im] entries, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+def _well_typed(entries: list, real: bool) -> bool:
+    """True when every entry is a number (real) or an [re, im] pair of numbers
+    (complex). Bools are not numbers. Checked once per distinct type."""
+    if not real:
+        if not set(map(type, entries)) <= {list, tuple} or set(map(len, entries)) != {2}:
+            return False
+        entries = chain.from_iterable(entries)
+    return all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, entries)))
+
+
+def _parse_entries(entries: list, real: bool, where: str) -> np.ndarray:
+    """Entries in row-major order as float64; an [re, im] pair becomes a trailing axis."""
+    if not _well_typed(entries, real):
+        bad = next(e for e in entries if not _well_typed([e], real))
+        kind = "real frames need numeric entries" if real else "complex frames need [re, im] entries"
+        raise _UsageError(f"{where}: {kind}, got {bad!r}")
+    try:
+        return np.array(entries, dtype=np.float64)
+    except OverflowError:
+        raise _UsageError(f"{where}: matrix entries must be finite, got an integer too large for a float") from None
 
 
 def frame_from_json_obj(obj, tol: float = DEFAULT_TOL) -> FusionFrame:
@@ -118,24 +128,31 @@ def frame_from_json_obj(obj, tol: float = DEFAULT_TOL) -> FusionFrame:
         found = len(obj["bases"]) if isinstance(obj["bases"], list) else "non-list"
         raise _UsageError(f"bases: declared n = {n} but found {found}")
 
-    real = field is FieldTag.REAL
-    bases = []
     for idx, rows in enumerate(obj["bases"], start=1):
         name = f"bases[{idx}]"
         if not isinstance(rows, list) or len(rows) != d:
             found = len(rows) if isinstance(rows, list) else "non-list"
             raise _UsageError(f"{name}: expected {d} rows, found {found}")
-        data = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != c:
                 found = len(row) if isinstance(row, list) else "non-list"
                 raise _UsageError(f"{name}: row {i + 1} has {found} entries, expected {c}")
-            data.append([_entry_to_complex(e, real, name) for e in row])
-        try:
-            bases.append(SubspaceBasis(Mat(data, field), tol))
-        except ValueError as exc:
-            raise _UsageError(f"{name}: {exc}") from None
-    return FusionFrame(bases)
+
+    real = field is FieldTag.REAL
+    entries = list(chain.from_iterable(chain.from_iterable(obj["bases"])))
+    try:
+        flat = _parse_entries(entries, real, "bases")
+    except _UsageError:
+        # The first basis that fails on its own names the diagnostic.
+        per = d * c
+        for k in range(n):
+            _parse_entries(entries[k * per : (k + 1) * per], real, f"bases[{k + 1}]")
+        raise
+    stack = flat.reshape(n, d, c) if real else flat.reshape(n, d, c, 2).view(np.complex128)[..., 0]
+    try:
+        return FusionFrame.from_arrays(stack, field, tol)
+    except ValueError as exc:
+        raise _UsageError(re.sub(r"^basis (\d+):", r"bases[\1]:", str(exc))) from None
 
 
 def load_frame(path: str, tol: float = DEFAULT_TOL) -> FusionFrame:

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .linalg import FieldTag, Mat, _qr_columns, orthonormalize
-from .metrics import FusionFrame, SubspaceBasis
+from .metrics import FusionFrame
 
 __all__ = [
     "DifferenceSet",
@@ -69,9 +69,7 @@ def regular_simplex(n: int) -> FusionFrame:
     basis = _qr_columns(proj[:, : n - 1])
     unit = proj / np.linalg.norm(proj, axis=0, keepdims=True)
     coords = basis.T @ unit
-    return FusionFrame(
-        SubspaceBasis(Mat(coords[:, j : j + 1], FieldTag.REAL)) for j in range(n)
-    )
+    return FusionFrame.from_arrays(coords.T[:, :, None], FieldTag.REAL)
 
 
 def orthoplex(d: int) -> FusionFrame:
@@ -83,8 +81,7 @@ def orthoplex(d: int) -> FusionFrame:
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     eye = np.eye(d)
-    cols = [eye[:, j : j + 1] for j in range(d)] + [-eye[:, j : j + 1] for j in range(d)]
-    return FusionFrame(SubspaceBasis(Mat(col, FieldTag.REAL)) for col in cols)
+    return FusionFrame.from_arrays(np.concatenate([eye, -eye])[:, :, None], FieldTag.REAL)
 
 
 def harmonic_etf(ds: DifferenceSet) -> FusionFrame:
@@ -104,9 +101,7 @@ def harmonic_etf(ds: DifferenceSet) -> FusionFrame:
     ks = np.array(ds.elements, dtype=np.float64).reshape(-1, 1)
     js = np.arange(big_n, dtype=np.float64).reshape(1, -1)
     table = np.exp(2j * np.pi * ks * js / big_n) / math.sqrt(d)
-    return FusionFrame(
-        SubspaceBasis(Mat(table[:, j : j + 1], FieldTag.COMPLEX)) for j in range(big_n)
-    )
+    return FusionFrame.from_arrays(table.T[:, :, None], FieldTag.COMPLEX)
 
 
 def tensor_eitff(etf: FusionFrame, c: int) -> FusionFrame:
@@ -122,10 +117,10 @@ def tensor_eitff(etf: FusionFrame, c: int) -> FusionFrame:
         raise ValueError(f"tensor construction starts from unit vectors (c = 1), got c = {etf.c}")
     if c < 1:
         raise ValueError(f"subspace dimension must be positive, got {c}")
-    eye = np.eye(c)
-    return FusionFrame(
-        SubspaceBasis(Mat(np.kron(b.array, eye), etf.field)) for b in etf.bases
-    )
+    # Entry [j, i c + k, l] is entry i of vector j times I[k, l].
+    n, e, _ = etf.array.shape
+    blocks = etf.array[:, :, :, None] * np.eye(c)
+    return FusionFrame.from_arrays(blocks.reshape(n, e * c, c), etf.field)
 
 
 def random_frame(field: FieldTag, d: int, c: int, n: int, seed: int) -> FusionFrame:
@@ -147,5 +142,5 @@ def random_frame(field: FieldTag, d: int, c: int, n: int, seed: int) -> FusionFr
         a = rng.standard_normal((d, c))
         if field is FieldTag.COMPLEX:
             a = a + 1j * rng.standard_normal((d, c))
-        bases.append(SubspaceBasis(orthonormalize(Mat(a, field))))
-    return FusionFrame(bases)
+        bases.append(orthonormalize(Mat(a, field)).array)
+    return FusionFrame.from_arrays(bases, field)

@@ -2,7 +2,7 @@
 
 Every higher layer (subspace metrics, packing bounds, certification, the
 numerical search) runs on the handful of operations defined here: the
-field-tagged matrix type, the adjoint, singular values, and QR
+field-tagged matrix type, singular values, and QR
 orthonormalization with a fixed sign convention. Entries are always
 stored as complex128; a ``FieldTag`` records whether a matrix lives over
 R or C and gates constructions and dimension formulas, not storage. All
@@ -21,7 +21,6 @@ __all__ = [
     "FieldTag",
     "Mat",
     "NumericalError",
-    "adjoint",
     "orthonormalize",
     "singular_values",
 ]
@@ -70,10 +69,6 @@ class Mat:
         self.array = arr
         self.field = field
 
-    @classmethod
-    def identity(cls, n: int, field: FieldTag = FieldTag.REAL) -> "Mat":
-        return cls(np.eye(n), field)
-
     @property
     def rows(self) -> int:
         return self.array.shape[0]
@@ -88,15 +83,11 @@ class Mat:
         return self.field is other.field and np.array_equal(self.array, other.array)
 
     def __hash__(self):
-        return hash((self.field, self.array.shape, self.array.tobytes()))
+        # Adding 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash((self.field, self.array.shape, (self.array + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols}, {self.field.value})"
-
-
-def adjoint(a: Mat) -> Mat:
-    """Conjugate transpose."""
-    return Mat(a.array.conj().T, a.field)
 
 
 def singular_values(a: Mat) -> np.ndarray:

@@ -2,17 +2,17 @@
 
 A c-dimensional subspace of F^d is represented by a d x c matrix with
 orthonormal columns (:class:`SubspaceBasis`); a packing candidate is a
-:class:`FusionFrame`, a list of such bases sharing (field, d, c). The
-functions here compute orthogonal projections, cross-Gramians, the
-fusion Gram matrix and fusion frame operator, principal angles, and the
-chordal / spectral / geodesic distances between subspaces. All pairwise
+:class:`FusionFrame`, the n bases stacked as one read-only (n, d, c)
+array, with the per-subspace bases available as views. The functions
+here compute orthogonal projections, cross-Gramians, the fusion Gram
+matrix and fusion frame operator, principal angles, and the chordal /
+spectral / geodesic distances between subspaces. All pairwise
 quantities are invariant under the choice of orthonormal basis within
 each subspace.
 
 Frame-wide quantities over all pairs are read off one product: the
-fusion Gram matrix X* X of the bases stacked as an (n, d, c) array. The
-private helpers that build it are shared with ``certify``, ``optimize``
-and ``cli``.
+fusion Gram matrix X* X of the frame's array. The private helpers that
+build it are shared with ``certify`` and ``optimize``.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class SubspaceBasis:
             )
         self.mat = mat
 
-    @classmethod
-    def from_array(cls, data, field: FieldTag | None = None, tol: float = DEFAULT_TOL) -> "SubspaceBasis":
-        return cls(Mat(data, field), tol)
-
     @property
     def d(self) -> int:
         return self.mat.rows
@@ -98,16 +94,17 @@ class SubspaceBasis:
 
 
 class FusionFrame:
-    """n subspaces of F^d, each of dimension c, as a tuple of bases.
+    """n subspaces of F^d, each of dimension c, as one read-only (n, d, c) array.
 
-    All bases must share (field, d, c). A single subspace (n = 1) is
-    allowed; operations with pairwise semantics require n >= 2 and say
-    so.
+    ``array[j]`` is the orthonormal basis of subspace j: float64 over R,
+    complex128 over C. A single subspace (n = 1) is allowed; operations
+    with pairwise semantics require n >= 2 and say so.
     """
 
-    __slots__ = ("bases",)
+    __slots__ = ("array", "field", "_bases")
 
-    bases: tuple[SubspaceBasis, ...]
+    array: np.ndarray
+    field: FieldTag
 
     def __init__(self, bases: Iterable[SubspaceBasis]):
         bases = tuple(bases)
@@ -120,7 +117,13 @@ class FusionFrame:
                     f"basis {idx + 1} has (field={b.field.value}, d={b.d}, c={b.c}), "
                     f"expected (field={head.field.value}, d={head.d}, c={head.c})"
                 )
-        self.bases = bases
+        self._set(np.stack([b.array for b in bases]), head.field, bases)
+
+    def _set(self, stack: np.ndarray, field: FieldTag, bases=None) -> None:
+        if field is FieldTag.REAL:
+            stack = np.ascontiguousarray(stack.real)
+        stack.setflags(write=False)
+        self.array, self.field, self._bases = stack, field, bases
 
     @classmethod
     def from_arrays(
@@ -129,23 +132,65 @@ class FusionFrame:
         field: FieldTag | None = None,
         tol: float = DEFAULT_TOL,
     ) -> "FusionFrame":
-        return cls(SubspaceBasis.from_array(a, field, tol) for a in arrays)
+        """Validate d x c arrays (a sequence or an (n, d, c) stack) as one frame.
+
+        Without ``field`` the frame is over C when any entry is complex.
+        Every basis must be finite, real when tagged REAL, and have
+        orthonormal columns within ``tol``; the error names the first
+        failing basis, numbered from 1.
+        """
+        try:
+            raw = np.asarray(arrays)
+        except ValueError:
+            raise ValueError("bases must all have the same shape") from None
+        if raw.ndim > 0 and len(raw) == 0:
+            raise ValueError("frame needs at least one subspace")
+        if raw.ndim != 3 or 0 in raw.shape:
+            raise ValueError(f"matrix must be 2-d and non-empty, got shape {raw.shape[1:]}")
+        _, d, c = raw.shape
+        if c > d:
+            raise ValueError(f"basis must be tall: got {d}x{c}")
+        if field is None:
+            field = FieldTag.COMPLEX if np.iscomplexobj(raw) else FieldTag.REAL
+        stack = raw.astype(np.complex128)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        imaginary = (stack.imag != 0.0).any(axis=(1, 2)) & (field is FieldTag.REAL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = stack.conj().swapaxes(-2, -1) @ stack
+            defect = np.linalg.norm(gram - np.eye(c), axis=(1, 2))
+        bad = ~finite | imaginary | ~(defect <= tol)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if not finite[k]:
+                why = "matrix entries must be finite"
+            elif imaginary[k]:
+                why = "REAL-tagged matrix has nonzero imaginary parts"
+            else:
+                why = f"columns not orthonormal: defect {defect[k]:.3e} exceeds tolerance {tol:.1e}"
+            raise ValueError(f"basis {k + 1}: {why}")
+        frame = cls.__new__(cls)
+        frame._set(stack, field)
+        return frame
 
     @property
-    def field(self) -> FieldTag:
-        return self.bases[0].field
-
-    @property
-    def d(self) -> int:
-        return self.bases[0].d
-
-    @property
-    def c(self) -> int:
-        return self.bases[0].c
+    def bases(self) -> tuple[SubspaceBasis, ...]:
+        """The subspaces one by one, for the per-pair API; built on first use."""
+        if self._bases is None:
+            # Validated with the frame; an infinite tolerance skips the re-check.
+            self._bases = tuple(SubspaceBasis(Mat(a, self.field), math.inf) for a in self.array)
+        return self._bases
 
     @property
     def n(self) -> int:
-        return len(self.bases)
+        return self.array.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def c(self) -> int:
+        return self.array.shape[2]
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Index pairs (j, j') with j < j', in fixed lexicographic order."""
@@ -156,10 +201,11 @@ class FusionFrame:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FusionFrame):
             return NotImplemented
-        return self.bases == other.bases
+        return self.field is other.field and np.array_equal(self.array, other.array)
 
     def __hash__(self):
-        return hash(self.bases)
+        # Adding 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash((self.field, self.array.shape, (self.array + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"FusionFrame(n={self.n}, d={self.d}, c={self.c}, {self.field.value})"
@@ -209,19 +255,6 @@ def cross_gramian(b1: SubspaceBasis, b2: SubspaceBasis) -> Mat:
     return Mat(b1.array.conj().T @ b2.array, b1.field)
 
 
-def _stack(bases: FusionFrame | Sequence[np.ndarray]) -> np.ndarray:
-    """The bases as one (n, d, c) array.
-
-    A frame over R stacks as float64 and one over C as complex128; a
-    sequence (or stack) of d x c arrays is taken as it is.
-    """
-    if isinstance(bases, FusionFrame):
-        if bases.field is FieldTag.REAL:
-            return np.stack([b.array.real for b in bases.bases])
-        return np.stack([b.array for b in bases.bases])
-    return np.asarray(bases)
-
-
 @functools.lru_cache(maxsize=32)
 def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the pairs j < j', in FusionFrame.pairs() order."""
@@ -266,7 +299,7 @@ def fusion_gram(f: FusionFrame) -> Mat:
     upper, so the result is self-adjoint by construction.
     """
     n = f.n
-    blocks = _gram_blocks(_stack(f))
+    blocks = _gram_blocks(f.array)
     rows, cols = _triu(n)
     blocks[cols, rows] = blocks[rows, cols].conj().swapaxes(-2, -1)
     blocks[range(n), range(n)] = np.eye(f.c)
@@ -278,7 +311,7 @@ def fusion_frame_operator(f: FusionFrame) -> Mat:
 
     Computed as the one product X X* of the d x nc matrix of all bases.
     """
-    flat = _flat(_stack(f))
+    flat = _flat(f.array)
     return Mat(flat @ flat.conj().T, f.field)
 
 
@@ -320,7 +353,7 @@ def min_chordal_packing(f: FusionFrame) -> float:
     """Smallest pairwise squared chordal distance (the squared packing radius)."""
     if f.n < 2:
         raise ValueError("packing radius needs at least two subspaces")
-    dist = f.c - _frobenius_sq(_pair_blocks(_stack(f)))
+    dist = f.c - _frobenius_sq(_pair_blocks(f.array))
     return float(np.clip(dist, 0.0, f.c).min())
 
 
@@ -330,7 +363,7 @@ def coherence(f: FusionFrame) -> float:
         raise ValueError(f"coherence is defined for unit vectors (c = 1), got c = {f.c}")
     if f.n < 2:
         raise ValueError("coherence needs at least two vectors")
-    return float(np.abs(_pair_blocks(_stack(f))).max())
+    return float(np.abs(_pair_blocks(f.array)).max())
 
 
 def traceless_embed(b: SubspaceBasis) -> Mat:

@@ -34,16 +34,14 @@ import numpy as np
 from . import bounds
 from .certify import Certificate, certify
 from .construct import random_frame
-from .linalg import FieldTag, Mat, NumericalError, _qr_columns
+from .linalg import FieldTag, NumericalError, _qr_columns
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.optimize.cross_gramian.
 from .metrics import (  # noqa: F401
     FusionFrame,
-    SubspaceBasis,
     _flat,
     _frobenius_sq,
     _pair_blocks,
-    _stack,
     _triu,
     cross_gramian,
 )
@@ -149,7 +147,7 @@ def smoothed_objective(
     # Overflow to inf on pathological inputs is deliberate; the descent
     # loop detects it and rejects the step (or raises NumericalError).
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, _, _ = _pair_values(_pair_blocks(_stack(mats)), criterion, power)
+        vals, _, _ = _pair_values(_pair_blocks(np.asarray(mats)), criterion, power)
         return _soft_max(vals, smoothing)[0]
 
 
@@ -173,7 +171,7 @@ def smoothed_objective_and_gradient(
     then the sum over j of X_j H_jj': one product of the d x nc matrix of
     all bases with the nc x nc block matrix H.
     """
-    x = _stack(mats)
+    x = np.asarray(mats)
     n, d, c = x.shape
     blocks = _pair_blocks(x)
     vals, m_pm1, t = _pair_values(blocks, criterion, power)
@@ -196,7 +194,7 @@ def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:
     """The true (unsmoothed) criterion value: the worst pairwise overlap."""
     if f.n < 2:
         raise ValueError("overlap needs at least two subspaces")
-    blocks = _pair_blocks(_stack(f))
+    blocks = _pair_blocks(f.array)
     if criterion is Criterion.CHORDAL_OVERLAP:
         return float(_frobenius_sq(blocks).max())
     try:
@@ -240,14 +238,22 @@ def _descend(mats: np.ndarray, config: PackConfig) -> tuple[np.ndarray, int]:
     return mats, used
 
 
-def _as_frame(mats: np.ndarray, field: FieldTag) -> FusionFrame:
-    return FusionFrame(SubspaceBasis(Mat(m, field)) for m in mats)
-
-
-def _criterion_bound(criterion: Criterion, n: int, d: int, c: int) -> float:
-    if criterion is Criterion.CHORDAL_OVERLAP:
-        return bounds.simplex_bound_gram(n, d, c)
-    return bounds.eitff_bound(n, d, c)
+def _result(frame: FusionFrame, achieved: float, config: PackConfig, used: int, restart_index: int) -> PackResult:
+    """A PackResult: the frame with its gap to the criterion's bound and its certificate."""
+    n, d, c = frame.n, frame.d, frame.c
+    if config.criterion is Criterion.CHORDAL_OVERLAP:
+        bound = bounds.simplex_bound_gram(n, d, c)
+    else:
+        bound = bounds.eitff_bound(n, d, c)
+    return PackResult(
+        frame=frame,
+        achieved=achieved,
+        bound=bound,
+        gap=achieved - bound,
+        certificate=certify(frame, config.tolerance),
+        iterations_used=used,
+        restart_index=restart_index,
+    )
 
 
 def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfig()) -> PackResult:
@@ -266,22 +272,13 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
     best: tuple[float, int, FusionFrame, int] | None = None
     for r, seed in enumerate(restart_seeds):
         start = random_frame(field, d, c, n, seed)
-        mats, used = _descend(_stack(start), config)
-        frame = _as_frame(mats, field)
+        mats, used = _descend(start.array, config)
+        frame = FusionFrame.from_arrays(mats, field)
         achieved = worst_overlap(frame, config.criterion)
         if best is None or achieved < best[0]:
             best = (achieved, r, frame, used)
     achieved, restart_index, frame, used = best
-    bound = _criterion_bound(config.criterion, n, d, c)
-    return PackResult(
-        frame=frame,
-        achieved=achieved,
-        bound=bound,
-        gap=achieved - bound,
-        certificate=certify(frame, config.tolerance),
-        iterations_used=used,
-        restart_index=restart_index,
-    )
+    return _result(frame, achieved, config, used, restart_index)
 
 
 def polish(f: FusionFrame, config: PackConfig = PackConfig()) -> PackResult:
@@ -294,18 +291,9 @@ def polish(f: FusionFrame, config: PackConfig = PackConfig()) -> PackResult:
     if f.n < 2:
         raise ValueError(f"need n >= 2 subspaces, got n = {f.n}")
     initial_achieved = worst_overlap(f, config.criterion)
-    mats, used = _descend(_stack(f), config)
-    frame = _as_frame(mats, f.field)
+    mats, used = _descend(f.array, config)
+    frame = FusionFrame.from_arrays(mats, f.field)
     achieved = worst_overlap(frame, config.criterion)
     if achieved > initial_achieved:
         frame, achieved, used = f, initial_achieved, 0
-    bound = _criterion_bound(config.criterion, f.n, f.d, f.c)
-    return PackResult(
-        frame=frame,
-        achieved=achieved,
-        bound=bound,
-        gap=achieved - bound,
-        certificate=certify(frame, config.tolerance),
-        iterations_used=used,
-        restart_index=0,
-    )
+    return _result(frame, achieved, config, used, 0)

@@ -89,6 +89,43 @@ class TestFrameFileFormat:
         with pytest.raises(ValueError, match="numeric"):
             frame_from_json_obj(obj)
 
+    @pytest.mark.parametrize("field", ["R", "C"])
+    @pytest.mark.parametrize("bad", [True, False, "0.5", "1", None, [0.5, 0.0, 0.0], {}])
+    def test_loader_rejects_non_numeric_entries(self, field, bad):
+        frame = regular_simplex(3) if field == "R" else harmonic_etf(DifferenceSet(7, [1, 2, 4]))
+        obj = frame_to_json_obj(frame)
+        obj["bases"][1][0][0] = bad
+        with pytest.raises(ValueError, match=r"^bases\[2\]: (real|complex) frames need"):
+            frame_from_json_obj(obj)
+
+    @pytest.mark.parametrize("bad", [[True, 0.0], [0.0, False], ["0.5", 0.0], [0.5], 0.5])
+    def test_loader_rejects_malformed_complex_entries(self, bad):
+        obj = frame_to_json_obj(harmonic_etf(DifferenceSet(7, [1, 2, 4])))
+        obj["bases"][4][1][0] = bad
+        with pytest.raises(ValueError, match=r"^bases\[5\]: complex frames need \[re, im\] entries"):
+            frame_from_json_obj(obj)
+
+    def test_loader_rejects_pair_in_real_frame(self):
+        obj = frame_to_json_obj(regular_simplex(3))
+        obj["bases"][2][1][0] = [0.5, 0.0]
+        with pytest.raises(ValueError, match=r"^bases\[3\]: real frames need numeric entries"):
+            frame_from_json_obj(obj)
+
+    def test_loader_accepts_integer_entries(self):
+        obj = {"field": "C", "d": 2, "c": 1, "n": 2, "bases": [[[[1, 0]], [[0, 0]]], [[[0, 0]], [[0, -1]]]]}
+        f = frame_from_json_obj(obj)
+        assert f.field is FieldTag.COMPLEX
+        assert f.array.tolist() == [[[1 + 0j], [0j]], [[0j], [-1j]]]
+
+    @pytest.mark.parametrize("field", ["R", "C"])
+    def test_loader_names_basis_of_oversized_integer(self, field):
+        frame = regular_simplex(3) if field == "R" else harmonic_etf(DifferenceSet(7, [1, 2, 4]))
+        obj = frame_to_json_obj(frame)
+        huge = 10**400
+        obj["bases"][1][0][0] = huge if field == "R" else [0.0, huge]
+        with pytest.raises(ValueError, match=r"^bases\[2\]: matrix entries must be finite"):
+            frame_from_json_obj(obj)
+
 
 class TestBoundsCommand:
     def test_human_output(self, capsys):
@@ -177,6 +214,18 @@ class TestConstructAndCertify:
         code, _, err = run_capture(capsys, "certify", path)
         assert code == 1
         assert "bases[2]" in err
+
+    def test_certify_oversized_integer_is_invalid_input(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        obj = frame_to_json_obj(regular_simplex(3))
+        text = json.dumps(obj).replace(json.dumps(obj["bases"][1][0][0]), "1" + "0" * 400, 1)
+        path.write_text(text)
+        assert json.loads(text)["bases"][1][0][0] == 10**400
+        code, out, err = run_capture(capsys, "certify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bases[2]: matrix entries must be finite")
+        assert len(err.splitlines()) == 1
 
     def test_certify_missing_file(self, capsys):
         code, _, err = run_capture(capsys, "certify", "/nonexistent/frame.json")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grasspack.linalg import FieldTag, Mat, _qr_columns, adjoint, orthonormalize, singular_values
+from grasspack.linalg import FieldTag, Mat, _qr_columns, orthonormalize, singular_values
 
 from conftest import gaussian_matrix
 
@@ -40,23 +40,13 @@ class TestMat:
         assert Mat([[1.0]]) != Mat([[2.0]])
         assert Mat([[1.0]], R) != Mat([[1.0]], C)
 
-
-class TestAdjoint:
-    def test_identity_is_self_adjoint(self):
-        m = Mat.identity(2)
-        assert adjoint(m) == m
-
-    def test_real_transpose(self):
-        col = Mat([[1.0], [2.0]])
-        assert np.array_equal(adjoint(col).array, np.array([[1.0, 2.0]]))
-
-    def test_complex_conjugation(self):
-        assert adjoint(Mat([[1j]], C)).array[0, 0] == -1j
-
-    def test_involution_is_exact(self, rng):
-        for field in (R, C):
-            a = Mat(gaussian_matrix(5, 3, field, rng), field)
-            assert adjoint(adjoint(a)) == a
+    @pytest.mark.parametrize("field, zero", [(R, -0.0), (C, complex(-0.0, -0.0))])
+    def test_hash_agrees_with_equality_on_signed_zeros(self, field, zero):
+        a = Mat([[0.0], [1.0]], field)
+        b = Mat([[zero], [1.0]], field)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 class TestSingularValues:

@@ -62,6 +62,87 @@ class TestTypes:
         assert (f.n, f.d, f.c, f.field) == (2, 3, 2, R)
 
 
+class TestFrameArray:
+    @pytest.mark.parametrize("field, dtype", [(R, np.float64), (C, np.complex128)])
+    def test_one_read_only_stack(self, field, dtype):
+        f = random_frame(field, 4, 2, 5, 3)
+        assert f.array.shape == (5, 4, 2) and f.array.dtype == dtype
+        assert f.array.flags.c_contiguous
+        with pytest.raises(ValueError):
+            f.array[0, 0, 0] = 1.0
+        for a, b in zip(f.array, f.bases):
+            assert np.array_equal(a, b.array)
+
+    def test_from_arrays_copies_its_input(self):
+        data = np.eye(4)[:, :2][None].repeat(2, axis=0)
+        data[1] = np.eye(4)[:, 2:]
+        f = FusionFrame.from_arrays(data)
+        data[0, 0, 0] = 5.0
+        assert f.array[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_both_constructors_agree(self, field):
+        f = random_frame(field, 3, 2, 4, 8)
+        g = FusionFrame(f.bases)
+        h = FusionFrame.from_arrays([b.array for b in f.bases], field)
+        assert f == g == h
+        assert f.array.tobytes() == g.array.tobytes() == h.array.tobytes()
+
+    def test_field_inferred_from_entries(self):
+        assert FusionFrame.from_arrays([[[1.0]], [[-1.0]]]).field is R
+        assert FusionFrame.from_arrays([[[1.0]], [[1j]]]).field is C
+
+    @pytest.mark.parametrize("field, zero", [(R, -0.0), (C, complex(-0.0, -0.0))])
+    def test_hash_agrees_with_equality_on_signed_zeros(self, field, zero):
+        a = FusionFrame.from_arrays([[[0.0], [1.0]], [[1.0], [0.0]]], field)
+        b = FusionFrame.from_arrays([[[zero], [1.0]], [[1.0], [zero]]], field)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[np.nan], [0.0]], "finite"),
+            ([[np.inf], [0.0]], "finite"),
+            ([[1.0], [1.0]], "orthonormal"),
+        ],
+    )
+    def test_names_failing_basis(self, bad, message):
+        arrays = [[[1.0], [0.0]], [[0.0], [1.0]], bad]
+        with pytest.raises(ValueError, match=f"basis 3: .*{message}"):
+            FusionFrame.from_arrays(arrays)
+
+    def test_names_first_failing_basis(self):
+        arrays = [[[1.0], [0.0]], [[2.0], [0.0]], [[np.nan], [0.0]]]
+        with pytest.raises(ValueError, match="basis 2: columns not orthonormal"):
+            FusionFrame.from_arrays(arrays)
+
+    def test_tolerance_applies_per_basis(self):
+        arrays = [[[1.0], [0.0]], [[1.0 + 1e-6], [0.0]]]
+        with pytest.raises(ValueError, match="basis 2"):
+            FusionFrame.from_arrays(arrays)
+        assert FusionFrame.from_arrays(arrays, tol=1e-5).n == 2
+
+    def test_real_tag_rejects_imaginary_parts(self):
+        with pytest.raises(ValueError, match="basis 2: .*imaginary"):
+            FusionFrame.from_arrays([[[1.0]], [[1j]]], R)
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ([], "at least one"),
+            ([[[1.0]], [[1.0], [0.0]]], "same shape"),
+            ([[1.0, 0.0]], "2-d"),
+            ([np.zeros((2, 0))], "non-empty"),
+            ([[[1.0, 0.0]]], "tall"),
+        ],
+    )
+    def test_rejects_bad_shapes(self, arrays, message):
+        with pytest.raises(ValueError, match=message):
+            FusionFrame.from_arrays(arrays)
+
+
 class TestProjection:
     def test_coordinate_line(self):
         p = projection(span_e(2, [0]))
