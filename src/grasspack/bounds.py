@@ -7,7 +7,7 @@ bound that does not apply at the given parameters is reported as None
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from typing import NamedTuple
 
 from .linalg import FieldTag
@@ -160,21 +160,7 @@ class BoundReport:
     notes: dict[str, str] = dataclass_field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "c": self.c,
-            "field": self.field.value,
-            "welch": self.welch,
-            "simplex_chordal": self.simplex_chordal,
-            "simplex_gram": self.simplex_gram,
-            "eitff_spectral": self.eitff_spectral,
-            "orthoplex_chordal": self.orthoplex_chordal,
-            "orthoplex_gram": self.orthoplex_gram,
-            "gerzon": self.gerzon,
-            "traceless_dim": self.traceless_dim,
-            "notes": dict(self.notes),
-        }
+        return {**asdict(self), "field": self.field.value}
 
 
 def bound_report(n: int, d: int, c: int, field: FieldTag) -> BoundReport:

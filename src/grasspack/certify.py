@@ -64,7 +64,6 @@ class EquiisoclinicResult:
     flag: bool
     sigma_sq: float  # mean of (1/c) ||cross-Gramian||_F^2 over pairs
     deviation: float  # worst ||G* G - sigma_sq I||_F over pairs
-    projection_residual: float  # ||P2 P1 P2 - sigma_sq P2||_F on the first pair
 
 
 @dataclass(frozen=True)
@@ -123,40 +122,27 @@ def is_equichordal(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquichordalResul
     return _equichordal(_frobenius_sq(_pair_blocks(f.array)), tol)
 
 
-def _equiisoclinic(
-    f: FusionFrame, overlaps: np.ndarray, svals: np.ndarray, tol: float
-) -> EquiisoclinicResult:
+def _equiisoclinic(c: int, overlaps: np.ndarray, svals: np.ndarray, tol: float) -> EquiisoclinicResult:
     # ||G* G - sigma_sq I||_F from the singular values s of G: G* G has
     # eigenvalues s^2, so the deviation is the 2-norm of s^2 - sigma_sq.
-    c = f.c
     sigma_sq = float(np.mean(overlaps / c))
     deviation = float(np.sqrt(((np.square(svals) - sigma_sq) ** 2).sum(axis=-1).max()))
-    a0, a1 = f.array[0], f.array[1]
-    p0 = a0 @ a0.conj().T
-    p1 = a1 @ a1.conj().T
-    projection_residual = float(np.linalg.norm(p1 @ p0 @ p1 - sigma_sq * p1))
-    scale = tol * max(1.0, sigma_sq * math.sqrt(c))
-    flag = deviation <= scale and projection_residual <= scale
-    return EquiisoclinicResult(
-        flag=flag,
-        sigma_sq=sigma_sq,
-        deviation=deviation,
-        projection_residual=projection_residual,
-    )
+    flag = deviation <= tol * max(1.0, sigma_sq * math.sqrt(c))
+    return EquiisoclinicResult(flag=flag, sigma_sq=sigma_sq, deviation=deviation)
 
 
 def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicResult:
     """Check that every cross-Gramian is sigma times a unitary.
 
     For each pair the product G* G must equal sigma_sq I, with sigma_sq
-    estimated as the mean of (1/c)||G||_F^2 over pairs. The equivalent
-    projection-operator identity P2 P1 P2 = sigma_sq P2 is verified on
-    the first pair as a consistency check and folded into the flag.
+    estimated as the mean of (1/c)||G||_F^2 over pairs. For orthonormal
+    bases this is the projection identity P2 P1 P2 = sigma_sq P2, since
+    P2 P1 P2 - sigma_sq P2 = A2 (G* G - sigma_sq I) A2*.
     """
     if f.n < 2:
         raise ValueError("equi-isoclinicity needs at least two subspaces")
     blocks = _pair_blocks(f.array)
-    return _equiisoclinic(f, _frobenius_sq(blocks), np.linalg.svd(blocks, compute_uv=False), tol)
+    return _equiisoclinic(f.c, _frobenius_sq(blocks), np.linalg.svd(blocks, compute_uv=False), tol)
 
 
 def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
@@ -181,7 +167,7 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     svals = np.linalg.svd(blocks, compute_uv=False)
     del blocks
     chordal = _equichordal(overlaps, tol)
-    iso = _equiisoclinic(f, overlaps, svals, tol)
+    iso = _equiisoclinic(c, overlaps, svals, tol)
 
     beta_expected = bounds.simplex_bound_gram(n, d, c)
     sigma_expected = bounds.eitff_bound(n, d, c)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from itertools import chain
@@ -237,6 +238,8 @@ def _print_certificate(cert: Certificate, frame: FusionFrame, as_json: bool) -> 
 
 
 def _cmd_certify(args) -> int:
+    if not 0.0 < args.tol < math.inf:
+        raise _UsageError(f"tol: must be finite and positive, got {args.tol!r}")
     frame = load_frame(args.frame, args.tol)
     if frame.n < 2:
         raise _UsageError(f"n: certification needs n >= 2, got {frame.n}")

@@ -14,7 +14,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import FieldTag, Mat, _qr_columns, orthonormalize
+# orthonormalize is unused here but stays importable: bench/tracing.py
+# wraps grasspack.construct.orthonormalize.
+from .linalg import FieldTag, _orthonormal_columns, _qr_columns, orthonormalize  # noqa: F401
 from .metrics import FusionFrame
 
 __all__ = [
@@ -129,7 +131,8 @@ def random_frame(field: FieldTag, d: int, c: int, n: int, seed: int) -> FusionFr
     Each basis is the QR orthonormalization of a d x c matrix of
     independent standard Gaussians (independent real and imaginary parts
     over C), which induces the rotation-invariant distribution on
-    subspaces. The generator is numpy's default PCG64; an identical seed
+    subspaces. All n matrices are drawn, rank-checked and factored at
+    once. The generator is numpy's default PCG64; an identical seed
     reproduces the frame bit-for-bit.
     """
     if d < 1 or not 1 <= c <= d:
@@ -137,10 +140,10 @@ def random_frame(field: FieldTag, d: int, c: int, n: int, seed: int) -> FusionFr
     if n < 1:
         raise ValueError(f"need n >= 1, got n = {n}")
     rng = np.random.default_rng(seed)
-    bases = []
-    for _ in range(n):
-        a = rng.standard_normal((d, c))
-        if field is FieldTag.COMPLEX:
-            a = a + 1j * rng.standard_normal((d, c))
-        bases.append(orthonormalize(Mat(a, field)).array)
-    return FusionFrame.from_arrays(bases, field)
+    if field is FieldTag.REAL:
+        a = rng.standard_normal((n, d, c))
+    else:
+        # The stream order of a per-basis loop: each basis's real part, then its imaginary part.
+        z = rng.standard_normal((n, 2, d, c))
+        a = z[:, 0] + 1j * z[:, 1]
+    return FusionFrame.from_arrays(_orthonormal_columns(a), field)

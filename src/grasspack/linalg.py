@@ -2,10 +2,12 @@
 
 Every higher layer (subspace metrics, packing bounds, certification, the
 numerical search) runs on the handful of operations defined here: the
-field-tagged matrix type, singular values, and QR
-orthonormalization with a fixed sign convention. Entries are always
-stored as complex128; a ``FieldTag`` records whether a matrix lives over
-R or C and gates constructions and dimension formulas, not storage. All
+storage rule of every field-tagged array, the field-tagged matrix type,
+singular values, and QR orthonormalization with a fixed sign
+convention. One rule holds for every field-tagged array in the package
+(a ``Mat``, a subspace basis, a frame's (n, d, c) stack): entries are
+finite and stored read-only as float64 over R and complex128 over C,
+and :func:`_field_array` is the one routine that validates them. All
 values are immutable and all functions are pure, so everything is safe
 to share across threads.
 """
@@ -41,33 +43,87 @@ class FieldTag(enum.Enum):
     COMPLEX = "C"
 
 
-class Mat:
-    """Immutable dense matrix with a field tag.
+def _field_array(
+    data, field: FieldTag | None = None, tol: float | None = None
+) -> tuple[np.ndarray, FieldTag]:
+    """``data`` stored under the rule: a new read-only C-contiguous array and its field.
 
-    The entry array is complex128 regardless of field; REAL-tagged
-    matrices carry exactly zero imaginary parts (enforced at
-    construction). The array is copied in and frozen, so a Mat can be
-    shared freely.
+    ``data`` is one matrix or an (n, rows, cols) stack. Without ``field``
+    it is over C exactly when ``data`` is complex. Entries must be finite,
+    and real when tagged REAL; with ``tol``, every matrix must also be
+    tall with orthonormal columns, ||A* A - I||_F <= tol. On a stack the
+    error names the first failing matrix as ``basis k``, numbered from 1.
     """
+    raw = np.asarray(data)
+    if field is None:
+        field = FieldTag.COMPLEX if np.iscomplexobj(raw) else FieldTag.REAL
+    rows, cols = raw.shape[-2:]
+    if tol is not None and cols > rows:
+        raise ValueError(f"basis must be tall: got {rows}x{cols}")
+    is_complex = field is FieldTag.COMPLEX or np.iscomplexobj(raw)
+    stack = raw.reshape(-1, rows, cols).astype(np.complex128 if is_complex else np.float64)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    imaginary = np.zeros(len(stack), dtype=bool)
+    if field is FieldTag.REAL and is_complex:
+        imaginary = (stack.imag != 0.0).any(axis=(1, 2))
+        stack = np.ascontiguousarray(stack.real)
+    bad = ~finite | imaginary
+    if tol is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = stack.swapaxes(1, 2).conj() @ stack
+            defect = np.linalg.norm(gram - np.eye(cols), axis=(1, 2))
+        bad |= ~(defect <= tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            why = "matrix entries must be finite"
+        elif imaginary[k]:
+            why = "REAL-tagged matrix has nonzero imaginary parts"
+        else:
+            why = f"columns not orthonormal: defect {defect[k]:.3e} exceeds tolerance {tol:.1e}"
+        raise ValueError(why if raw.ndim == 2 else f"basis {k + 1}: {why}")
+    stack.setflags(write=False)
+    return stack.reshape(raw.shape), field
+
+
+class _FieldArray:
+    """An ``array`` stored under the rule plus its ``field``; equality and hashing."""
 
     __slots__ = ("array", "field")
 
     array: np.ndarray
     field: FieldTag
 
+    @classmethod
+    def _of(cls, array: np.ndarray, field: FieldTag):
+        """An instance over an array already stored under the rule: no check, no copy."""
+        obj = cls.__new__(cls)
+        obj.array, obj.field = array, field
+        return obj
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.field is other.field and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        # Adding 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash((self.field, self.array.shape, (self.array + 0.0).tobytes()))
+
+
+class Mat(_FieldArray):
+    """Immutable dense matrix with a field tag, stored under the rule.
+
+    The array is copied in and frozen, so a Mat can be shared freely.
+    """
+
+    __slots__ = ()
+
     def __init__(self, data, field: FieldTag | None = None):
-        arr = np.array(data, dtype=np.complex128, order="C")
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+        arr = np.asarray(data)
+        if arr.ndim != 2 or 0 in arr.shape:
             raise ValueError(f"matrix must be 2-d and non-empty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        if field is None:
-            field = FieldTag.COMPLEX if np.iscomplexobj(np.asarray(data)) else FieldTag.REAL
-        if field is FieldTag.REAL and np.any(arr.imag != 0.0):
-            raise ValueError("REAL-tagged matrix has nonzero imaginary parts")
-        arr.setflags(write=False)
-        self.array = arr
-        self.field = field
+        self.array, self.field = _field_array(arr, field)
 
     @property
     def rows(self) -> int:
@@ -77,17 +133,17 @@ class Mat:
     def cols(self) -> int:
         return self.array.shape[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self.field is other.field and np.array_equal(self.array, other.array)
-
-    def __hash__(self):
-        # Adding 0.0 turns -0.0 into 0.0, which compares equal to it.
-        return hash((self.field, self.array.shape, (self.array + 0.0).tobytes()))
-
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols}, {self.field.value})"
+
+
+def _svals(arr: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix or of each matrix in a stack, clamped to be nonnegative."""
+    try:
+        s = np.linalg.svd(arr, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge: {exc}") from exc
+    return np.maximum(s, 0.0)
 
 
 def singular_values(a: Mat) -> np.ndarray:
@@ -96,12 +152,7 @@ def singular_values(a: Mat) -> np.ndarray:
     Returns min(rows, cols) values; their squares sum to the squared
     Frobenius norm.
     """
-    work = a.array.real if a.field is FieldTag.REAL else a.array
-    try:
-        s = np.linalg.svd(work, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    return np.maximum(s, 0.0)
+    return _svals(a.array)
 
 
 def _qr_columns(arr: np.ndarray) -> np.ndarray:
@@ -121,6 +172,19 @@ def _qr_columns(arr: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
+def _orthonormal_columns(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """:func:`_qr_columns` of a matrix or a stack, after checking each has full column rank."""
+    rows, cols = arr.shape[-2:]
+    if cols > rows:
+        raise ValueError(f"cannot orthonormalize {rows}x{cols}: more columns than rows")
+    smallest = _svals(arr)[..., -1].reshape(-1)
+    deficient = smallest <= tol
+    if deficient.any():
+        s = smallest[np.argmax(deficient)]
+        raise ValueError(f"rank deficient: smallest singular value {s:.3e} <= tolerance {tol:.1e}")
+    return _qr_columns(arr)
+
+
 def orthonormalize(a: Mat, tol: float = DEFAULT_TOL) -> Mat:
     """Orthonormal basis for the column span of ``a``.
 
@@ -130,13 +194,4 @@ def orthonormalize(a: Mat, tol: float = DEFAULT_TOL) -> Mat:
     the output deterministic, and matrices that already have orthonormal
     columns are returned unchanged up to round-off.
     """
-    if a.cols > a.rows:
-        raise ValueError(f"cannot orthonormalize {a.rows}x{a.cols}: more columns than rows")
-    s = singular_values(a)
-    if s[-1] <= tol:
-        raise ValueError(
-            f"rank deficient: smallest singular value {s[-1]:.3e} <= tolerance {tol:.1e}"
-        )
-    work = a.array.real if a.field is FieldTag.REAL else a.array
-    return Mat(_qr_columns(work), a.field)
-
+    return Mat(_orthonormal_columns(a.array, tol), a.field)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, FieldTag, Mat, singular_values
+from .linalg import DEFAULT_TOL, FieldTag, Mat, _field_array, _FieldArray, singular_values
 
 __all__ = [
     "FusionFrame",
@@ -43,68 +43,40 @@ __all__ = [
 ]
 
 
-class SubspaceBasis:
+class SubspaceBasis(_FieldArray):
     """A d x c matrix with orthonormal columns spanning one subspace.
 
-    Construction verifies the orthonormality defect ||mat* mat - I||_F
-    against ``tol``; 1 <= c <= d is required.
+    Construction verifies the orthonormality defect ||A* A - I||_F
+    against ``tol`` with the same check as :meth:`FusionFrame.from_arrays`;
+    1 <= c <= d is required.
     """
 
-    __slots__ = ("mat",)
-
-    mat: Mat
+    __slots__ = ()
 
     def __init__(self, mat: Mat, tol: float = DEFAULT_TOL):
-        if mat.cols > mat.rows:
-            raise ValueError(f"basis must be tall: got {mat.rows}x{mat.cols}")
-        gram = mat.array.conj().T @ mat.array
-        defect = float(np.linalg.norm(gram - np.eye(mat.cols)))
-        if defect > tol:
-            raise ValueError(
-                f"columns not orthonormal: defect {defect:.3e} exceeds tolerance {tol:.1e}"
-            )
-        self.mat = mat
+        self.array, self.field = _field_array(mat.array, mat.field, tol)
 
     @property
     def d(self) -> int:
-        return self.mat.rows
+        return self.array.shape[0]
 
     @property
     def c(self) -> int:
-        return self.mat.cols
-
-    @property
-    def field(self) -> FieldTag:
-        return self.mat.field
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.mat.array
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SubspaceBasis):
-            return NotImplemented
-        return self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
+        return self.array.shape[1]
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(d={self.d}, c={self.c}, {self.field.value})"
 
 
-class FusionFrame:
+class FusionFrame(_FieldArray):
     """n subspaces of F^d, each of dimension c, as one read-only (n, d, c) array.
 
-    ``array[j]`` is the orthonormal basis of subspace j: float64 over R,
-    complex128 over C. A single subspace (n = 1) is allowed; operations
-    with pairwise semantics require n >= 2 and say so.
+    ``array[j]`` is the orthonormal basis of subspace j, and ``bases[j]``
+    a view of it. A single subspace (n = 1) is allowed; operations with
+    pairwise semantics require n >= 2 and say so.
     """
 
-    __slots__ = ("array", "field", "_bases")
-
-    array: np.ndarray
-    field: FieldTag
+    # No __slots__ of its own: the instance dict holds the cached ``bases``.
 
     def __init__(self, bases: Iterable[SubspaceBasis]):
         bases = tuple(bases)
@@ -117,13 +89,7 @@ class FusionFrame:
                     f"basis {idx + 1} has (field={b.field.value}, d={b.d}, c={b.c}), "
                     f"expected (field={head.field.value}, d={head.d}, c={head.c})"
                 )
-        self._set(np.stack([b.array for b in bases]), head.field, bases)
-
-    def _set(self, stack: np.ndarray, field: FieldTag, bases=None) -> None:
-        if field is FieldTag.REAL:
-            stack = np.ascontiguousarray(stack.real)
-        stack.setflags(write=False)
-        self.array, self.field, self._bases = stack, field, bases
+        self.array, self.field = _field_array(np.stack([b.array for b in bases]), head.field)
 
     @classmethod
     def from_arrays(
@@ -147,38 +113,12 @@ class FusionFrame:
             raise ValueError("frame needs at least one subspace")
         if raw.ndim != 3 or 0 in raw.shape:
             raise ValueError(f"matrix must be 2-d and non-empty, got shape {raw.shape[1:]}")
-        _, d, c = raw.shape
-        if c > d:
-            raise ValueError(f"basis must be tall: got {d}x{c}")
-        if field is None:
-            field = FieldTag.COMPLEX if np.iscomplexobj(raw) else FieldTag.REAL
-        stack = raw.astype(np.complex128)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        imaginary = (stack.imag != 0.0).any(axis=(1, 2)) & (field is FieldTag.REAL)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = stack.conj().swapaxes(-2, -1) @ stack
-            defect = np.linalg.norm(gram - np.eye(c), axis=(1, 2))
-        bad = ~finite | imaginary | ~(defect <= tol)
-        if bad.any():
-            k = int(np.argmax(bad))
-            if not finite[k]:
-                why = "matrix entries must be finite"
-            elif imaginary[k]:
-                why = "REAL-tagged matrix has nonzero imaginary parts"
-            else:
-                why = f"columns not orthonormal: defect {defect[k]:.3e} exceeds tolerance {tol:.1e}"
-            raise ValueError(f"basis {k + 1}: {why}")
-        frame = cls.__new__(cls)
-        frame._set(stack, field)
-        return frame
+        return cls._of(*_field_array(raw, field, tol))
 
-    @property
+    @functools.cached_property
     def bases(self) -> tuple[SubspaceBasis, ...]:
-        """The subspaces one by one, for the per-pair API; built on first use."""
-        if self._bases is None:
-            # Validated with the frame; an infinite tolerance skips the re-check.
-            self._bases = tuple(SubspaceBasis(Mat(a, self.field), math.inf) for a in self.array)
-        return self._bases
+        """The subspaces one by one, for the per-pair API: read-only views of ``array``."""
+        return tuple(SubspaceBasis._of(a, self.field) for a in self.array)
 
     @property
     def n(self) -> int:
@@ -197,15 +137,6 @@ class FusionFrame:
         for j in range(self.n):
             for jj in range(j + 1, self.n):
                 yield j, jj
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FusionFrame):
-            return NotImplemented
-        return self.field is other.field and np.array_equal(self.array, other.array)
-
-    def __hash__(self):
-        # Adding 0.0 turns -0.0 into 0.0, which compares equal to it.
-        return hash((self.field, self.array.shape, (self.array + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"FusionFrame(n={self.n}, d={self.d}, c={self.c}, {self.field.value})"

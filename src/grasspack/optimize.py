@@ -86,12 +86,10 @@ class PackConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not self.step_size > 0:
-            raise ValueError(f"step size must be positive, got {self.step_size}")
-        if not self.smoothing > 0:
-            raise ValueError(f"smoothing must be positive, got {self.smoothing}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        for name in ("step_size", "smoothing", "tolerance"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)

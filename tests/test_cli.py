@@ -227,6 +227,13 @@ class TestConstructAndCertify:
         assert err.startswith("error: bases[2]: matrix entries must be finite")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "0"])
+    def test_certify_rejects_bad_tol_before_loading(self, tol, capsys):
+        code, out, err = run_capture(capsys, "certify", "/nonexistent/frame.json", f"--tol={tol}", "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tol: must be finite and positive")
+
     def test_certify_missing_file(self, capsys):
         code, _, err = run_capture(capsys, "certify", "/nonexistent/frame.json")
         assert code == 1
@@ -328,3 +335,36 @@ class TestParsing:
         code, out, _ = run_capture(capsys, "--help")
         assert code == 0
         assert "grasspack" in out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name} on stdout")
+
+
+class TestJsonContract:
+    def test_every_json_command_prints_one_strict_json_object(self, tmp_path, capsys):
+        simplex, harmonic = str(tmp_path / "simplex.json"), str(tmp_path / "harmonic.json")
+        packed = str(tmp_path / "packed.json")
+        commands = [
+            ["bounds", "--n", "3", "--d", "4", "--c", "2"],
+            ["bounds", "--n", "40", "--d", "8", "--c", "3", "--field", "C"],
+            ["bounds", "--n", "2", "--d", "1", "--c", "1"],
+            ["construct", "simplex", "--n", "3", "-o", simplex],
+            ["construct", "simplex", "--n", "4"],
+            ["construct", "orthoplex", "--d", "3"],
+            ["construct", "harmonic", "--modulus", "7", "--set", "1,2,4", "-o", harmonic],
+            ["construct", "tensor", simplex, "--c", "2"],
+            ["construct", "tensor", harmonic, "--c", "2", "-o", str(tmp_path / "tensor.json")],
+            ["certify", simplex],
+            ["certify", harmonic, "--tol", "1e-12"],
+            ["angles", harmonic, "--i", "1", "--j", "3"],
+            ["pack", "--d", "2", "--c", "1", "--n", "3", "--iters", "20", "--restarts", "1"],
+            ["pack", "--field", "C", "--d", "2", "--c", "1", "--n", "3", "--criterion", "spectral",
+             "--iters", "20", "--restarts", "1", "-o", packed],
+            ["certify", packed],
+        ]
+        for argv in commands:
+            code, out, err = run_capture(capsys, *argv, "--format", "json")
+            assert (code, err) == (0, ""), argv
+            assert len(out.splitlines()) == 1, argv
+            assert isinstance(json.loads(out, parse_constant=_reject_constant), dict), argv

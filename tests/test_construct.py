@@ -11,7 +11,7 @@ from grasspack.construct import (
     regular_simplex,
     tensor_eitff,
 )
-from grasspack.linalg import FieldTag
+from grasspack.linalg import FieldTag, Mat, orthonormalize
 from grasspack.metrics import coherence, cross_gramian, fusion_frame_operator, fusion_gram
 
 R = FieldTag.REAL
@@ -188,6 +188,23 @@ class TestRandomFrame:
     def test_generic_frame_certifies_nothing(self):
         cert = certify(random_frame(R, 4, 2, 3, 1))
         assert not (cert.is_tight or cert.is_equichordal or cert.is_equiisoclinic)
+
+    @pytest.mark.parametrize("field", [R, C])
+    @pytest.mark.parametrize("d, c, n", [(2, 1, 1), (4, 2, 3), (6, 3, 9), (5, 5, 4), (20, 2, 40)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_per_basis_loop(self, field, d, c, n, seed):
+        # Reference: one Gaussian draw (real part, then imaginary part) and
+        # one orthonormalization per basis.
+        rng = np.random.default_rng(seed)
+        bases = []
+        for _ in range(n):
+            a = rng.standard_normal((d, c))
+            if field is C:
+                a = a + 1j * rng.standard_normal((d, c))
+            bases.append(orthonormalize(Mat(a, field)).array)
+        f = random_frame(field, d, c, n, seed)
+        assert f.array.dtype == bases[0].dtype
+        assert f.array.tobytes() == np.stack(bases).tobytes()
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):

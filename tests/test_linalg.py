@@ -30,6 +30,18 @@ class TestMat:
         with pytest.raises(ValueError):
             Mat(np.zeros((2, 0)))
 
+    @pytest.mark.parametrize("data, field, dtype", [
+        ([[1.0, 2.0]], R, np.float64),
+        ([[1 + 0j, 2.0]], R, np.float64),
+        ([[1, 2]], R, np.float64),
+        ([[1.0, 2.0]], C, np.complex128),
+        ([[1j, 2.0]], None, np.complex128),
+    ])
+    def test_stores_the_field_dtype(self, data, field, dtype):
+        m = Mat(data, field)
+        assert m.array.dtype == dtype
+        assert m.array.tolist() == np.asarray(data).tolist()
+
     def test_array_is_frozen(self):
         m = Mat([[1.0, 2.0]])
         with pytest.raises(ValueError):

@@ -73,6 +73,21 @@ class TestFrameArray:
         for a, b in zip(f.array, f.bases):
             assert np.array_equal(a, b.array)
 
+    @pytest.mark.parametrize("field", [R, C])
+    def test_bases_are_read_only_views(self, field):
+        f = random_frame(field, 4, 2, 5, 3)
+        for j, b in enumerate(f.bases):
+            assert np.shares_memory(b.array, f.array[j])
+            assert b.array.dtype == f.array.dtype and b.field is field
+            assert not b.array.flags.writeable
+            assert np.array_equal(b.array, f.array[j])
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_subspace_basis_stores_the_field_dtype(self, field):
+        b = span_e(3, [0, 2], field)
+        assert b.array.dtype == (np.float64 if field is R else np.complex128)
+        assert not b.array.flags.writeable
+
     def test_from_arrays_copies_its_input(self):
         data = np.eye(4)[:, :2][None].repeat(2, axis=0)
         data[1] = np.eye(4)[:, 2:]

@@ -40,6 +40,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             PackConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["step_size", "smoothing", "tolerance"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            PackConfig(**{name: value})
+
 
 class TestObjective:
     def test_soft_max_dominates_true_max(self, rng):
