@@ -18,6 +18,7 @@ __all__ = [
     "bound_report",
     "eitff_bound",
     "gerzon_limit",
+    "governing_bound",
     "orthoplex_bound",
     "rankin_orthoplex_bound",
     "rankin_simplex_bound",
@@ -135,6 +136,30 @@ def orthoplex_bound(n: int, d: int, c: int, field: FieldTag) -> OrthoplexBound |
     if n <= gerzon_limit(d, field):
         return None
     return OrthoplexBound(chordal=c * (d - c) / d, gram=c * c / d)
+
+
+def governing_bound(n: int, d: int, c: int, field: FieldTag, spectral: bool = False) -> tuple[float, str]:
+    """The largest lower bound on the worst overlap at (n, d, c, field), and its name.
+
+    The worst squared Frobenius cross-Gramian norm (``spectral`` False) is
+    at least the simplex bound ``"simplex"``; the worst squared spectral
+    norm is at least the EITFF bound ``"eitff"``. Past the Gerzon limit
+    the orthoplex bound ``"orthoplex"`` applies: c^2/d, or c/d for the
+    spectral norm since ||G||_2^2 >= ||G||_F^2 / c (Conway, Hardin and
+    Sloane, Exp. Math. 1996). Every overlap is at least 0 (``"trivial"``),
+    which governs when nc < d. Ties go to the bound named first here.
+    """
+    if spectral:
+        bound, name = eitff_bound(n, d, c), "eitff"
+    else:
+        bound, name = simplex_bound_gram(n, d, c), "simplex"
+    if n > gerzon_limit(d, field):
+        ortho = c / d if spectral else c * c / d
+        if ortho > bound:
+            bound, name = ortho, "orthoplex"
+    if bound < 0.0:
+        bound, name = 0.0, "trivial"
+    return bound, name
 
 
 @dataclass(frozen=True)

@@ -316,6 +316,7 @@ def _cmd_pack(args) -> int:
         "criterion": args.criterion,
         "achieved": result.achieved,
         "bound": result.bound,
+        "bound_name": result.bound_name,
         "gap": result.gap,
         "restart_index": result.restart_index,
         "iterations_used": result.iterations_used,
@@ -396,9 +397,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--criterion", choices=("chordal", "spectral"), default="chordal")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--iters", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random starting frames (default 0)")
+    p.add_argument(
+        "--restarts",
+        type=int,
+        default=10,
+        help="maximum number of restarts; the search stops after the first one within tolerance of the bound (default 10)",
+    )
+    p.add_argument("--iters", type=int, default=2000, help="maximum descent iterations per restart (default 2000)")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", **fmt)
     p.set_defaults(handler=_cmd_pack)

@@ -15,17 +15,21 @@ followed by QR re-orthonormalization of every basis (a retraction onto
 the product of Stiefel manifolds). The step size is fixed, with halving
 on objective increase (at most 20 halvings per iteration) and no
 momentum. Runs are deterministic: restarts draw their starting frames
-from seeds derived from the configured seed, and the best restart wins
-with ties broken by the lowest restart index.
+from seeds derived from the configured seed. Each restart descends to
+its own stop. Once one ends within the tolerance of the governing lower
+bound (``bounds.governing_bound``), no later restart could beat it by
+more than that tolerance, so the remaining restarts are skipped. The
+best restart run wins, with ties broken by the lowest restart index.
 
 No claim of global optimality is ever made; results report their gap to
-the relevant bound and carry a structure certificate.
+the governing bound and carry a structure certificate.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,10 +86,10 @@ class PackConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        for name, low in (("iterations", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("step_size", "smoothing", "tolerance"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -96,7 +100,8 @@ class PackConfig:
 class PackResult:
     frame: FusionFrame
     achieved: float  # true (unsmoothed) criterion value of the frame
-    bound: float  # the matching lower bound for (n, d, c)
+    bound: float  # the governing lower bound for (n, d, c, field)
+    bound_name: str  # "simplex", "eitff", "orthoplex" or "trivial"
     gap: float  # achieved - bound; >= -tolerance always
     certificate: Certificate
     iterations_used: int
@@ -236,18 +241,19 @@ def _descend(mats: np.ndarray, config: PackConfig) -> tuple[np.ndarray, int]:
     return mats, used
 
 
+def _governing_bound(field: FieldTag, d: int, c: int, n: int, criterion: Criterion) -> tuple[float, str]:
+    return bounds.governing_bound(n, d, c, field, spectral=criterion is Criterion.SPECTRAL_OVERLAP)
+
+
 def _result(frame: FusionFrame, achieved: float, config: PackConfig, used: int, restart_index: int) -> PackResult:
-    """A PackResult: the frame with its gap to the criterion's bound and its certificate."""
-    n, d, c = frame.n, frame.d, frame.c
-    if config.criterion is Criterion.CHORDAL_OVERLAP:
-        bound = bounds.simplex_bound_gram(n, d, c)
-    else:
-        bound = bounds.eitff_bound(n, d, c)
+    """A PackResult: the frame with its gap to the governing bound and its certificate."""
+    value, name = _governing_bound(frame.field, frame.d, frame.c, frame.n, config.criterion)
     return PackResult(
         frame=frame,
         achieved=achieved,
-        bound=bound,
-        gap=achieved - bound,
+        bound=value,
+        bound_name=name,
+        gap=achieved - value,
         certificate=certify(frame, config.tolerance),
         iterations_used=used,
         restart_index=restart_index,
@@ -257,15 +263,19 @@ def _result(frame: FusionFrame, achieved: float, config: PackConfig, used: int, 
 def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfig()) -> PackResult:
     """Search for n well-separated c-dimensional subspaces of F^d.
 
-    Runs ``config.restarts`` independent descents from seeded random
-    frames and returns the best by achieved criterion value (ties to the
-    lowest restart index). Identical configs produce bit-identical
-    results.
+    Runs up to ``config.restarts`` independent descents from seeded
+    random frames and returns the best by achieved criterion value (ties
+    to the lowest restart index). Each descent runs to its own stop; the
+    search ends early after the first restart whose achieved value is
+    within ``config.tolerance`` of the governing bound, since no later
+    restart can beat it by more than that. Identical configs produce
+    bit-identical results.
     """
     if d < 1 or not 1 <= c <= d:
         raise ValueError(f"need 1 <= c <= d, got c = {c}, d = {d}")
     if n < 2:
         raise ValueError(f"need n >= 2 subspaces, got n = {n}")
+    bound, _ = _governing_bound(field, d, c, n, config.criterion)
     restart_seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(config.restarts, dtype=np.uint64)]
     best: tuple[float, int, FusionFrame, int] | None = None
     for r, seed in enumerate(restart_seeds):
@@ -275,6 +285,8 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
         achieved = worst_overlap(frame, config.criterion)
         if best is None or achieved < best[0]:
             best = (achieved, r, frame, used)
+        if achieved - bound <= config.tolerance:
+            break
     achieved, restart_index, frame, used = best
     return _result(frame, achieved, config, used, restart_index)
 

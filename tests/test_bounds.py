@@ -9,6 +9,7 @@ from grasspack.bounds import (
     bound_report,
     eitff_bound,
     gerzon_limit,
+    governing_bound,
     orthoplex_bound,
     rankin_orthoplex_bound,
     rankin_simplex_bound,
@@ -20,6 +21,7 @@ from grasspack.bounds import (
 from grasspack.construct import orthoplex, random_frame, regular_simplex
 from grasspack.linalg import FieldTag
 from grasspack.metrics import cross_gramian, min_chordal_packing
+from grasspack.optimize import Criterion, worst_overlap
 
 R = FieldTag.REAL
 C = FieldTag.COMPLEX
@@ -167,6 +169,57 @@ class TestOrthoplexBound:
         # n equal to the Gerzon limit does not trigger the bound.
         assert orthoplex_bound(6, 3, 1, R) is None
         assert orthoplex_bound(7, 3, 1, R) is not None
+
+
+class TestGoverningBound:
+    @pytest.mark.parametrize(
+        "n, d, c, field, spectral, value, name",
+        [
+            (3, 2, 1, R, False, 0.25, "simplex"),
+            (3, 4, 2, R, False, 0.5, "simplex"),
+            (3, 4, 2, R, True, 0.25, "eitff"),
+            (16, 4, 1, C, False, 0.2, "simplex"),  # n at the Gerzon limit
+            (4, 2, 1, R, False, 0.5, "orthoplex"),
+            (4, 2, 1, R, True, 0.5, "orthoplex"),
+            (5, 2, 1, C, False, 0.5, "orthoplex"),
+            (7, 3, 1, R, False, 1.0 / 3.0, "orthoplex"),
+            (40, 8, 3, R, False, 1.125, "orthoplex"),
+            (40, 8, 3, R, True, 0.375, "orthoplex"),
+            (2, 6, 2, R, False, 0.0, "trivial"),
+            (2, 6, 2, R, True, 0.0, "trivial"),
+            (2, 4, 2, R, False, 0.0, "simplex"),  # nc = d: a tie at 0
+            (4, 2, 2, R, False, 2.0, "simplex"),  # c = d: a tie with the orthoplex bound
+        ],
+    )
+    def test_regimes(self, n, d, c, field, spectral, value, name):
+        assert governing_bound(n, d, c, field, spectral) == (pytest.approx(value), name)
+
+    @given(ndc(), st.sampled_from([R, C]), st.booleans())
+    def test_is_the_largest_applicable_bound(self, params, field, spectral):
+        n, d, c = params
+        value, name = governing_bound(n, d, c, field, spectral)
+        scale = c if spectral else 1
+        candidates = {"eitff" if spectral else "simplex": simplex_bound_gram(n, d, c) / scale, "trivial": 0.0}
+        ortho = orthoplex_bound(n, d, c, field)
+        if ortho is not None:
+            candidates["orthoplex"] = ortho.gram / scale
+        assert value >= max(candidates.values()) - 1e-15
+        assert value == pytest.approx(candidates[name], abs=1e-15)
+
+    def test_holds_on_random_frames_past_the_gerzon_limit(self):
+        for field, d, c in ((R, 2, 1), (C, 2, 1), (R, 3, 2), (C, 2, 2)):
+            for n in range(gerzon_limit(d, field) + 1, gerzon_limit(d, field) + 4):
+                for seed in range(5):
+                    f = random_frame(field, d, c, n, seed)
+                    for crit in Criterion:
+                        bound, _ = governing_bound(n, d, c, field, crit is Criterion.SPECTRAL_OVERLAP)
+                        assert worst_overlap(f, crit) >= bound - 1e-12
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            governing_bound(1, 2, 1, R)
+        with pytest.raises(ValueError):
+            governing_bound(3, 2, 3, R)
 
 
 class TestBoundReport:

@@ -309,6 +309,34 @@ class TestPackCommand:
         _, out2, _ = run_capture(capsys, *args)
         assert out1 == out2
 
+    def test_pack_reports_the_governing_bound(self, capsys):
+        code, out, _ = run_capture(
+            capsys,
+            "pack", "--field", "R", "--d", "2", "--c", "1", "--n", "4",
+            "--iters", "300", "--restarts", "3", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["bound"], payload["bound_name"]) == (0.5, "orthoplex")
+        assert payload["gap"] == payload["achieved"] - 0.5
+        code, out, _ = run_capture(
+            capsys, "pack", "--field", "R", "--d", "6", "--c", "2", "--n", "2", "--iters", "300", "--restarts", "3"
+        )
+        assert code == 0
+        assert "bound_name: trivial" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--seed", "-1", "seed"), ("--iters", "0", "iterations"), ("--restarts", "0", "restarts")],
+    )
+    def test_pack_rejects_bad_counts_naming_the_field(self, capsys, flag, value, field):
+        code, out, err = run_capture(
+            capsys, "pack", "--field", "R", "--d", "2", "--c", "1", "--n", "3", flag, value
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {field} must be an integer >= ")
+
     def test_numerical_failure_maps_to_exit_2(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("diverged")

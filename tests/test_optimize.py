@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from grasspack import construct
 from grasspack.bounds import eitff_bound, simplex_bound_gram
 from grasspack.construct import random_frame, regular_simplex, tensor_eitff
 from grasspack.linalg import FieldTag, NumericalError
@@ -45,6 +46,27 @@ class TestConfig:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             PackConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("iterations", math.inf),
+            ("iterations", 2.5),
+            ("iterations", True),
+            ("restarts", 1.5),
+            ("restarts", "3"),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", None),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            PackConfig(**{name: value})
+
+    def test_accepts_numpy_integers(self):
+        config = PackConfig(iterations=np.int64(3), restarts=np.int32(2), seed=np.uint64(2**63))
+        assert config.seed == 2**63
 
 
 class TestObjective:
@@ -165,6 +187,96 @@ class TestPack:
             pack(R, 2, 3, 3, FAST)
         with pytest.raises(ValueError):
             pack(R, 2, 1, 1, FAST)
+
+
+def _count_restarts(monkeypatch) -> list:
+    """Record every random_frame call pack makes: one per restart run."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return construct.random_frame(*args, **kwargs)
+
+    monkeypatch.setattr("grasspack.optimize.random_frame", counting)
+    return calls
+
+
+def _best_of_all_restarts(field, d, c, n, config):
+    """Reference search: every restart runs; the best wins, ties to the lowest index."""
+    seeds = np.random.SeedSequence(config.seed).generate_state(config.restarts, dtype=np.uint64)
+    best = None
+    for r, seed in enumerate(seeds):
+        mats, used = _descend(random_frame(field, d, c, n, int(seed)).array, config)
+        achieved = worst_overlap(FusionFrame.from_arrays(mats, field), config.criterion)
+        if best is None or achieved < best[0]:
+            best = (achieved, r, mats, used)
+    return best
+
+
+class TestStopping:
+    def test_stops_after_the_restart_that_reaches_the_bound(self, monkeypatch):
+        one = pack(R, 2, 1, 3, PackConfig(restarts=1))
+        assert one.gap <= 1e-8
+        calls = _count_restarts(monkeypatch)
+        ten = pack(R, 2, 1, 3, PackConfig(restarts=10))
+        assert len(calls) == 1
+        assert ten.restart_index == 0
+        assert ten.frame.array.tobytes() == one.frame.array.tobytes()
+        assert ten.achieved == one.achieved
+        assert ten.iterations_used == one.iterations_used
+
+    @pytest.mark.parametrize(
+        "field, d, c, n, criterion",
+        [
+            (R, 4, 2, 3, Criterion.CHORDAL_OVERLAP),
+            (R, 2, 1, 4, Criterion.CHORDAL_OVERLAP),
+            (C, 2, 1, 5, Criterion.SPECTRAL_OVERLAP),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_without_reaching_the_bound_every_restart_runs(self, monkeypatch, field, d, c, n, criterion, seed):
+        config = PackConfig(criterion=criterion, iterations=5, restarts=4, seed=seed)
+        achieved, restart_index, mats, used = _best_of_all_restarts(field, d, c, n, config)
+        calls = _count_restarts(monkeypatch)
+        result = pack(field, d, c, n, config)
+        assert len(calls) == config.restarts
+        assert result.gap > config.tolerance
+        assert result.achieved == achieved
+        assert result.restart_index == restart_index
+        assert result.iterations_used == used
+        assert result.frame.array.tobytes() == mats.tobytes()
+
+
+class TestGoverningBound:
+    def test_past_the_gerzon_limit_real(self):
+        # Four lines in R^2 reach the orthoplex bound 1/2; the simplex
+        # bound 1/3 would report a gap of 1/6.
+        result = pack(R, 2, 1, 4, PackConfig(iterations=300, restarts=3))
+        assert (result.bound, result.bound_name) == (0.5, "orthoplex")
+        assert 0.0 <= result.gap < 1e-3
+        assert result.gap == pytest.approx(result.certificate.orthoplex_gap, abs=1e-15)
+
+    def test_past_the_gerzon_limit_complex(self):
+        result = pack(C, 2, 1, 5, PackConfig(iterations=300, restarts=3))
+        assert (result.bound, result.bound_name) == (0.5, "orthoplex")
+        assert 0.0 <= result.gap < 1e-3
+
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    def test_mutually_orthogonal_subspaces(self, monkeypatch, criterion):
+        # nc < d: two planes in R^6 can be orthogonal, so the bound is 0
+        # and the first restart that finds them ends the search.
+        calls = _count_restarts(monkeypatch)
+        result = pack(R, 6, 2, 2, PackConfig(criterion=criterion, iterations=300, restarts=3))
+        assert (result.bound, result.bound_name) == (0.0, "trivial")
+        assert result.gap == result.achieved <= 1e-12
+        assert result.restart_index == 0
+        assert len(calls) == 1
+
+    def test_polish_reports_the_governing_bound(self):
+        f = random_frame(R, 2, 1, 4, 1)
+        result = polish(f, PackConfig(iterations=20))
+        assert (result.bound, result.bound_name) == (0.5, "orthoplex")
+        assert result.gap == result.achieved - 0.5
 
 
 class TestPolish:
