@@ -6,142 +6,24 @@ packing bounds (Welch, simplex, orthoplex, Gerzon), certify structure
 equiangular tight frames), construct the known optimal packings, and
 search numerically for new ones. A command-line interface lives in
 ``grasspack.cli``.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports their union.
 """
 
-from .bounds import (
-    BoundReport,
-    OrthoplexBound,
-    bound_report,
-    eitff_bound,
-    gerzon_limit,
-    governing_bound,
-    orthoplex_bound,
-    rankin_orthoplex_bound,
-    rankin_simplex_bound,
-    simplex_bound_chordal,
-    simplex_bound_gram,
-    traceless_space_dim,
-    welch_bound,
-)
-from .certify import (
-    Certificate,
-    EquiangularResult,
-    EquichordalResult,
-    EquiisoclinicResult,
-    TightnessResult,
-    certify,
-    is_equiangular,
-    is_equichordal,
-    is_equiisoclinic,
-    is_etf,
-    is_regular_simplex,
-    is_tight_fusion_frame,
-    is_unit_norm_tight_frame,
-)
-from .construct import (
-    DifferenceSet,
-    harmonic_etf,
-    orthoplex,
-    random_frame,
-    regular_simplex,
-    tensor_eitff,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    FieldTag,
-    Mat,
-    NumericalError,
-    orthonormalize,
-    singular_values,
-)
-from .metrics import (
-    FusionFrame,
-    PrincipalAngles,
-    SubspaceBasis,
-    chordal_distance_sq,
-    coherence,
-    cross_gramian,
-    fusion_frame_operator,
-    fusion_gram,
-    geodesic_distance,
-    min_chordal_packing,
-    principal_angles,
-    projection,
-    spectral_distance_sq,
-    traceless_embed,
-)
-from .optimize import (
-    Criterion,
-    PackConfig,
-    PackResult,
-    pack,
-    polish,
-    smoothed_objective,
-    smoothed_objective_and_gradient,
-    worst_overlap,
-)
+from .bounds import *  # noqa: F403
+from .bounds import __all__ as _bounds_all
+from .certify import *  # noqa: F403
+from .certify import __all__ as _certify_all
+from .construct import *  # noqa: F403
+from .construct import __all__ as _construct_all
+from .linalg import *  # noqa: F403
+from .linalg import __all__ as _linalg_all
+from .metrics import *  # noqa: F403
+from .metrics import __all__ as _metrics_all
+from .optimize import *  # noqa: F403
+from .optimize import __all__ as _optimize_all
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "Certificate",
-    "Criterion",
-    "DEFAULT_TOL",
-    "DifferenceSet",
-    "EquiangularResult",
-    "EquichordalResult",
-    "EquiisoclinicResult",
-    "FieldTag",
-    "FusionFrame",
-    "Mat",
-    "NumericalError",
-    "OrthoplexBound",
-    "PackConfig",
-    "PackResult",
-    "PrincipalAngles",
-    "SubspaceBasis",
-    "TightnessResult",
-    "bound_report",
-    "certify",
-    "chordal_distance_sq",
-    "coherence",
-    "cross_gramian",
-    "eitff_bound",
-    "fusion_frame_operator",
-    "fusion_gram",
-    "geodesic_distance",
-    "gerzon_limit",
-    "governing_bound",
-    "harmonic_etf",
-    "is_equiangular",
-    "is_equichordal",
-    "is_equiisoclinic",
-    "is_etf",
-    "is_regular_simplex",
-    "is_tight_fusion_frame",
-    "is_unit_norm_tight_frame",
-    "min_chordal_packing",
-    "orthonormalize",
-    "orthoplex",
-    "orthoplex_bound",
-    "pack",
-    "polish",
-    "principal_angles",
-    "projection",
-    "random_frame",
-    "rankin_orthoplex_bound",
-    "rankin_simplex_bound",
-    "regular_simplex",
-    "simplex_bound_chordal",
-    "simplex_bound_gram",
-    "singular_values",
-    "smoothed_objective",
-    "smoothed_objective_and_gradient",
-    "spectral_distance_sq",
-    "tensor_eitff",
-    "traceless_embed",
-    "traceless_space_dim",
-    "welch_bound",
-    "worst_overlap",
-]
+__all__ = sorted({*_bounds_all, *_certify_all, *_construct_all, *_linalg_all, *_metrics_all, *_optimize_all})

@@ -29,11 +29,15 @@ __all__ = [
 ]
 
 
-def _check_ndc(n: int, d: int, c: int) -> None:
+def _check_dc(d: int, c: int) -> None:
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     if not 1 <= c <= d:
         raise ValueError(f"need 1 <= c <= d, got c = {c}, d = {d}")
+
+
+def _check_ndc(n: int, d: int, c: int) -> None:
+    _check_dc(d, c)
     if n < 2:
         raise ValueError(f"need n >= 2, got n = {n}")
 
@@ -44,10 +48,7 @@ def welch_bound(n: int, d: int) -> float:
     Requires n >= d >= 1 and n >= 2; attained exactly by equiangular
     tight frames.
     """
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n = {n}")
+    _check_ndc(n, d, 1)
     if n < d:
         raise ValueError(f"Welch bound needs n >= d, got n = {n}, d = {d}")
     return (n - d) / (d * (n - 1))
@@ -129,10 +130,7 @@ def orthoplex_bound(n: int, d: int, c: int, field: FieldTag) -> OrthoplexBound |
     radius is at most c(d-c)/d, equivalently the worst Frobenius overlap
     is at least c^2/d. Returns None outside that regime.
     """
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
-    if not 1 <= c <= d:
-        raise ValueError(f"need 1 <= c <= d, got c = {c}, d = {d}")
+    _check_dc(d, c)
     if n <= gerzon_limit(d, field):
         return None
     return OrthoplexBound(chordal=c * (d - c) / d, gram=c * c / d)
@@ -153,10 +151,11 @@ def governing_bound(n: int, d: int, c: int, field: FieldTag, spectral: bool = Fa
         bound, name = eitff_bound(n, d, c), "eitff"
     else:
         bound, name = simplex_bound_gram(n, d, c), "simplex"
-    if n > gerzon_limit(d, field):
-        ortho = c / d if spectral else c * c / d
-        if ortho > bound:
-            bound, name = ortho, "orthoplex"
+    ortho = orthoplex_bound(n, d, c, field)
+    if ortho is not None:
+        value = c / d if spectral else ortho.gram
+        if value > bound:
+            bound, name = value, "orthoplex"
     if bound < 0.0:
         bound, name = 0.0, "trivial"
     return bound, name

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bounds
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _svals
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.certify.cross_gramian.
 from .metrics import (  # noqa: F401
@@ -142,7 +142,7 @@ def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicR
     if f.n < 2:
         raise ValueError("equi-isoclinicity needs at least two subspaces")
     blocks = _pair_blocks(f.array)
-    return _equiisoclinic(f.c, _frobenius_sq(blocks), np.linalg.svd(blocks, compute_uv=False), tol)
+    return _equiisoclinic(f.c, _frobenius_sq(blocks), _svals(blocks), tol)
 
 
 def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
@@ -164,7 +164,7 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     # and its singular values.
     blocks = _pair_blocks(f.array)
     overlaps = _frobenius_sq(blocks)
-    svals = np.linalg.svd(blocks, compute_uv=False)
+    svals = _svals(blocks)
     del blocks
     chordal = _equichordal(overlaps, tol)
     iso = _equiisoclinic(c, overlaps, svals, tol)

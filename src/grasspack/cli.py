@@ -162,8 +162,12 @@ def load_frame(path: str, tol: float = DEFAULT_TOL) -> FusionFrame:
             obj = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"frame file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"frame file: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise _UsageError(f"frame file: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise _UsageError("frame file: JSON nested too deeply to parse") from None
     return frame_from_json_obj(obj, tol)
 
 

@@ -14,6 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import bounds
 # orthonormalize is unused here but stays importable: bench/tracing.py
 # wraps grasspack.construct.orthonormalize.
 from .linalg import FieldTag, _orthonormal_columns, _qr_columns, orthonormalize  # noqa: F401
@@ -135,8 +136,7 @@ def random_frame(field: FieldTag, d: int, c: int, n: int, seed: int) -> FusionFr
     once. The generator is numpy's default PCG64; an identical seed
     reproduces the frame bit-for-bit.
     """
-    if d < 1 or not 1 <= c <= d:
-        raise ValueError(f"need 1 <= c <= d, got c = {c}, d = {d}")
+    bounds._check_dc(d, c)
     if n < 1:
         raise ValueError(f"need n >= 1, got n = {n}")
     rng = np.random.default_rng(seed)

@@ -9,12 +9,12 @@ squared spectral norm (spectral criterion, lower-bounded by
 Since the true max is nonsmooth exactly at the ties an optimal packing
 must have, the objective is smoothed with a log-sum-exp soft max of
 configurable sharpness; the spectral norm is additionally smoothed by
-the differentiable surrogate (Tr[(G* G)^p])^(1/p) with a fixed small
-power p. Descent is plain gradient descent in the ambient entries,
-followed by QR re-orthonormalization of every basis (a retraction onto
-the product of Stiefel manifolds). The step size is fixed, with halving
-on objective increase (at most 20 halvings per iteration) and no
-momentum. Runs are deterministic: restarts draw their starting frames
+the differentiable surrogate (Tr[(G* G)^p])^(1/p) with the fixed small
+power p = ``SPECTRAL_SMOOTHING_POWER``. Descent is plain gradient
+descent in the ambient entries, followed by QR re-orthonormalization of
+every basis (a retraction onto the product of Stiefel manifolds). The
+step size is fixed, with halving on objective increase (at most 20
+halvings per iteration) and no momentum. Runs are deterministic: restarts draw their starting frames
 from seeds derived from the configured seed. Each restart descends to
 its own stop. Once one ends within the tolerance of the governing lower
 bound (``bounds.governing_bound``), no later restart could beat it by
@@ -38,7 +38,7 @@ import numpy as np
 from . import bounds
 from .certify import Certificate, certify
 from .construct import random_frame
-from .linalg import FieldTag, NumericalError, _qr_columns
+from .linalg import FieldTag, NumericalError, _qr_columns, _svals
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.optimize.cross_gramian.
 from .metrics import (  # noqa: F401
@@ -108,9 +108,7 @@ class PackResult:
     restart_index: int
 
 
-def _pair_values(
-    blocks: np.ndarray, criterion: Criterion, power: int
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _pair_values(blocks: np.ndarray, criterion: Criterion) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Overlap of each cross-Gramian in a (P, c, c) stack.
 
     Chordal: ||G||_F^2. Spectral: (Tr[M^p])^(1/p) with M = G* G, returned
@@ -119,10 +117,10 @@ def _pair_values(
     if criterion is Criterion.CHORDAL_OVERLAP:
         return _frobenius_sq(blocks), None, None
     m = blocks.conj().swapaxes(-2, -1) @ blocks
-    m_pm1 = np.linalg.matrix_power(m, power - 1)
+    m_pm1 = np.linalg.matrix_power(m, SPECTRAL_SMOOTHING_POWER - 1)
     t = np.einsum("...kl,...lk->...", m_pm1, m).real
     # Round-off can leave t slightly negative; NaN passes through.
-    return np.maximum(t, 0.0) ** (1.0 / power), m_pm1, t
+    return np.maximum(t, 0.0) ** (1.0 / SPECTRAL_SMOOTHING_POWER), m_pm1, t
 
 
 def _soft_max(vals: np.ndarray, smoothing: float) -> tuple[float, np.ndarray]:
@@ -138,7 +136,6 @@ def smoothed_objective(
     mats: Sequence[np.ndarray],
     criterion: Criterion = Criterion.CHORDAL_OVERLAP,
     smoothing: float = 200.0,
-    power: int = SPECTRAL_SMOOTHING_POWER,
 ) -> float:
     """Soft max of the pairwise overlaps of arbitrary d x c matrices.
 
@@ -150,7 +147,7 @@ def smoothed_objective(
     # Overflow to inf on pathological inputs is deliberate; the descent
     # loop detects it and rejects the step (or raises NumericalError).
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, _, _ = _pair_values(_pair_blocks(np.asarray(mats)), criterion, power)
+        vals, _, _ = _pair_values(_pair_blocks(np.asarray(mats)), criterion)
         return _soft_max(vals, smoothing)[0]
 
 
@@ -158,7 +155,6 @@ def smoothed_objective_and_gradient(
     mats: Sequence[np.ndarray],
     criterion: Criterion = Criterion.CHORDAL_OVERLAP,
     smoothing: float = 200.0,
-    power: int = SPECTRAL_SMOOTHING_POWER,
 ) -> tuple[float, np.ndarray]:
     """Objective value together with its gradient in the matrix entries.
 
@@ -177,13 +173,13 @@ def smoothed_objective_and_gradient(
     x = np.asarray(mats)
     n, d, c = x.shape
     blocks = _pair_blocks(x)
-    vals, m_pm1, t = _pair_values(blocks, criterion, power)
+    vals, m_pm1, t = _pair_values(blocks, criterion)
     objective, weights = _soft_max(vals, smoothing)
     if criterion is Criterion.CHORDAL_OVERLAP:
         h = (2.0 * weights)[:, None, None] * blocks
     else:
         with np.errstate(divide="ignore"):
-            coef = np.where(t > 0.0, 2.0 * weights * t ** (1.0 / power - 1.0), 0.0)
+            coef = np.where(t > 0.0, 2.0 * weights * t ** (1.0 / SPECTRAL_SMOOTHING_POWER - 1.0), 0.0)
         h = coef[:, None, None] * (blocks @ m_pm1)
     rows, cols = _triu(n)
     full = np.zeros((n, n, c, c), dtype=h.dtype)
@@ -200,11 +196,7 @@ def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:
     blocks = _pair_blocks(f.array)
     if criterion is Criterion.CHORDAL_OVERLAP:
         return float(_frobenius_sq(blocks).max())
-    try:
-        s = np.linalg.svd(blocks, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    return float(s[:, 0].max()) ** 2
+    return float(_svals(blocks)[:, 0].max()) ** 2
 
 
 def _descend(mats: np.ndarray, config: PackConfig) -> tuple[np.ndarray, int]:
@@ -241,13 +233,10 @@ def _descend(mats: np.ndarray, config: PackConfig) -> tuple[np.ndarray, int]:
     return mats, used
 
 
-def _governing_bound(field: FieldTag, d: int, c: int, n: int, criterion: Criterion) -> tuple[float, str]:
-    return bounds.governing_bound(n, d, c, field, spectral=criterion is Criterion.SPECTRAL_OVERLAP)
-
-
 def _result(frame: FusionFrame, achieved: float, config: PackConfig, used: int, restart_index: int) -> PackResult:
     """A PackResult: the frame with its gap to the governing bound and its certificate."""
-    value, name = _governing_bound(frame.field, frame.d, frame.c, frame.n, config.criterion)
+    spectral = config.criterion is Criterion.SPECTRAL_OVERLAP
+    value, name = bounds.governing_bound(frame.n, frame.d, frame.c, frame.field, spectral)
     return PackResult(
         frame=frame,
         achieved=achieved,
@@ -269,13 +258,10 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
     search ends early after the first restart whose achieved value is
     within ``config.tolerance`` of the governing bound, since no later
     restart can beat it by more than that. Identical configs produce
-    bit-identical results.
+    bit-identical results. Invalid (n, d, c) raise ValueError from
+    ``bounds.governing_bound`` before any search starts.
     """
-    if d < 1 or not 1 <= c <= d:
-        raise ValueError(f"need 1 <= c <= d, got c = {c}, d = {d}")
-    if n < 2:
-        raise ValueError(f"need n >= 2 subspaces, got n = {n}")
-    bound, _ = _governing_bound(field, d, c, n, config.criterion)
+    bound, _ = bounds.governing_bound(n, d, c, field, config.criterion is Criterion.SPECTRAL_OVERLAP)
     restart_seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(config.restarts, dtype=np.uint64)]
     best: tuple[float, int, FusionFrame, int] | None = None
     for r, seed in enumerate(restart_seeds):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from grasspack.certify import certify
@@ -396,3 +397,117 @@ class TestJsonContract:
             assert (code, err) == (0, ""), argv
             assert len(out.splitlines()) == 1, argv
             assert isinstance(json.loads(out, parse_constant=_reject_constant), dict), argv
+
+
+def _write_simplex_with(tmp_path, **changes) -> str:
+    """A frame file holding regular_simplex(3) with the given top-level keys replaced."""
+    obj = {**frame_to_json_obj(regular_simplex(3)), **changes}
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _rejected(capsys, path) -> str:
+    """The one-line diagnostic of ``certify path``, which must exit 1 with no stdout."""
+    code, out, err = run_capture(capsys, "certify", path)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    return err
+
+
+class TestFrameFileRejections:
+    def test_top_level_non_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        assert _rejected(capsys, str(path)).startswith("error: frame: top-level value must be an object")
+
+    @pytest.mark.parametrize("key", ["field", "d", "c", "n", "bases"])
+    def test_missing_key(self, tmp_path, capsys, key):
+        obj = frame_to_json_obj(regular_simplex(3))
+        del obj[key]
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(obj))
+        assert _rejected(capsys, str(path)) == f"error: {key}: missing\n"
+
+    @pytest.mark.parametrize("value", ["Q", "r", 1, None])
+    def test_field_not_r_or_c(self, tmp_path, capsys, value):
+        err = _rejected(capsys, _write_simplex_with(tmp_path, field=value))
+        assert err.startswith("error: field: must be 'R' or 'C'")
+
+    @pytest.mark.parametrize("key", ["d", "c", "n"])
+    @pytest.mark.parametrize("value", [0, -1, True, 2.5])
+    def test_dimension_not_a_positive_integer(self, tmp_path, capsys, key, value):
+        err = _rejected(capsys, _write_simplex_with(tmp_path, **{key: value}))
+        assert err == f"error: {key}: must be a positive integer, got {value!r}\n"
+
+    def test_c_exceeds_d(self, tmp_path, capsys):
+        err = _rejected(capsys, _write_simplex_with(tmp_path, c=3))
+        assert err.startswith("error: c: subspace dimension 3 exceeds ambient dimension 2")
+
+    def test_basis_with_wrong_row_count(self, tmp_path, capsys):
+        obj = frame_to_json_obj(regular_simplex(3))
+        obj["bases"][1].append([0.0])
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(obj))
+        assert _rejected(capsys, str(path)) == "error: bases[2]: expected 2 rows, found 3\n"
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "frame.json"
+        path.write_text('{"field": "R", "d": 2,')
+        assert _rejected(capsys, str(path)).startswith("error: frame file: not valid JSON")
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "frame.json"
+        path.write_bytes(b'{"field": "\xff"}')
+        assert _rejected(capsys, str(path)).startswith("error: frame file: ")
+
+    def test_nesting_too_deep_to_parse(self, tmp_path, capsys):
+        path = tmp_path / "frame.json"
+        path.write_text("[" * 200_000)
+        assert _rejected(capsys, str(path)).startswith("error: frame file: ")
+
+    def test_certify_single_subspace(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"field": "R", "d": 2, "c": 1, "n": 1, "bases": [[[1.0], [0.0]]]}))
+        assert _rejected(capsys, str(path)) == "error: n: certification needs n >= 2, got 1\n"
+
+
+class TestHumanOutput:
+    def test_certify(self, tmp_path, capsys):
+        path = str(tmp_path / "s.json")
+        save_frame(regular_simplex(3), path)
+        code, out, err = run_capture(capsys, "certify", path)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "frame: n=3 d=2 c=1 field=R tolerance=1e-08"
+        assert lines[1].startswith("is_tight:         true  (residual ")
+        assert lines[1].endswith(", alpha 1.5)")
+        assert lines[2].startswith("is_equichordal:   true  (beta 0.25, deviation ")
+        assert lines[3].startswith("is_equiisoclinic: true  (sigma_sq 0.25, deviation ")
+        assert lines[4:6] == ["is_ectff:         true", "is_eitff:         true"]
+        assert lines[-1] == "orthoplex_gap:    n/a"
+
+    def test_angles(self, tmp_path, capsys):
+        path = str(tmp_path / "s.json")
+        save_frame(regular_simplex(3), path)
+        code, out, err = run_capture(capsys, "angles", path, "--i", "1", "--j", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "pair (1, 2) of n=3",
+            "principal angles (rad): 1.0471975512",
+            "chordal_distance_sq: 0.75",
+            "spectral_distance_sq: 0.75",
+            "geodesic_distance: 1.0471975512",
+        ]
+
+
+def test_certify_svd_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    path = str(tmp_path / "s.json")
+    save_frame(regular_simplex(3), path)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    code, out, err = run_capture(capsys, "certify", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: SVD failed to converge")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,21 @@ class TestPack:
             pack(R, 2, 3, 3, FAST)
         with pytest.raises(ValueError):
             pack(R, 2, 1, 1, FAST)
+
+    @pytest.mark.parametrize(
+        "d, c, n, message",
+        [
+            (0, 1, 3, "d must be positive, got 0"),
+            (2, 3, 3, "need 1 <= c <= d, got c = 3, d = 2"),
+            (2, 0, 3, "need 1 <= c <= d, got c = 0, d = 2"),
+            (2, 1, 1, "need n >= 2, got n = 1"),
+        ],
+    )
+    def test_rejects_bad_parameters_before_any_work(self, monkeypatch, d, c, n, message):
+        starts = _count_restarts(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pack(R, d, c, n, FAST)
+        assert starts == []
 
 
 def _count_restarts(monkeypatch) -> list:
