@@ -36,10 +36,15 @@ def _check_dc(d: int, c: int) -> None:
         raise ValueError(f"need 1 <= c <= d, got c = {c}, d = {d}")
 
 
-def _check_ndc(n: int, d: int, c: int) -> None:
-    _check_dc(d, c)
+def _check_n(n: int) -> None:
+    """Every pairwise quantity (overlaps, bounds, gaps) needs two subspaces."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n = {n}")
+
+
+def _check_ndc(n: int, d: int, c: int) -> None:
+    _check_dc(d, c)
+    _check_n(n)
 
 
 def welch_bound(n: int, d: int) -> float:
@@ -60,8 +65,7 @@ def rankin_simplex_bound(n: int) -> float:
     Equality holds exactly for a regular simplex, where the minimum
     squared pairwise distance reaches 2(1 + 1/(n-1)).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n = {n}")
+    _check_n(n)
     return -1.0 / (n - 1)
 
 
@@ -104,8 +108,7 @@ def eitff_bound(n: int, d: int, c: int) -> float:
 
 def gerzon_limit(d: int, field: FieldTag) -> int:
     """Maximum possible number of equiangular lines: d(d+1)/2 over R, d^2 over C."""
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    _check_dc(d, 1)
     if field is FieldTag.REAL:
         return d * (d + 1) // 2
     return d * d

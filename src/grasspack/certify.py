@@ -24,6 +24,7 @@ from .metrics import (  # noqa: F401
     FusionFrame,
     _frobenius_sq,
     _pair_blocks,
+    _require_vectors,
     cross_gramian,
     fusion_frame_operator,
 )
@@ -117,8 +118,6 @@ def _equichordal(overlaps: np.ndarray, tol: float) -> EquichordalResult:
 
 def is_equichordal(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquichordalResult:
     """Check that all pairwise squared Frobenius cross-Gramian norms agree."""
-    if f.n < 2:
-        raise ValueError("equi-chordality needs at least two subspaces")
     return _equichordal(_frobenius_sq(_pair_blocks(f.array)), tol)
 
 
@@ -139,8 +138,6 @@ def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicR
     bases this is the projection identity P2 P1 P2 = sigma_sq P2, since
     P2 P1 P2 - sigma_sq P2 = A2 (G* G - sigma_sq I) A2*.
     """
-    if f.n < 2:
-        raise ValueError("equi-isoclinicity needs at least two subspaces")
     blocks = _pair_blocks(f.array)
     return _equiisoclinic(f.c, _frobenius_sq(blocks), _svals(blocks), tol)
 
@@ -155,8 +152,6 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     corresponding lower bounds; the orthoplex gap is reported only when
     n exceeds the Gerzon limit.
     """
-    if f.n < 2:
-        raise ValueError("certification needs at least two subspaces")
     n, d, c = f.n, f.d, f.c
 
     tight = is_tight_fusion_frame(f, tol)
@@ -207,11 +202,6 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     )
 
 
-def _require_vectors(f: FusionFrame, what: str) -> None:
-    if f.c != 1:
-        raise ValueError(f"{what} is defined for unit vectors (c = 1), got c = {f.c}")
-
-
 def is_unit_norm_tight_frame(f: FusionFrame, tol: float = DEFAULT_TOL) -> TightnessResult:
     """Check that n unit vectors form a tight frame, with constant n/d."""
     _require_vectors(f, "unit-norm tightness")
@@ -221,8 +211,6 @@ def is_unit_norm_tight_frame(f: FusionFrame, tol: float = DEFAULT_TOL) -> Tightn
 def is_equiangular(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiangularResult:
     """Check that all pairwise |inner products| of unit vectors agree."""
     _require_vectors(f, "equiangularity")
-    if f.n < 2:
-        raise ValueError("equiangularity needs at least two vectors")
     # For c = 1 the squared cross-Gramian norm is the squared inner product.
     r = _equichordal(_frobenius_sq(_pair_blocks(f.array)), tol)
     return EquiangularResult(flag=r.flag, beta=r.beta, deviation=r.deviation)
@@ -232,7 +220,8 @@ def is_etf(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
     """True when the unit vectors are both equiangular and a tight frame.
 
     A positive verdict also requires the squared coherence to sit at the
-    Welch bound, which it must for a genuine ETF.
+    Welch bound, which it must for a genuine ETF. A single vector is not
+    an ETF: n = 1 gives False rather than an error.
     """
     _require_vectors(f, "the ETF property")
     if f.n < 2:
@@ -248,8 +237,6 @@ def is_etf(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
 def is_regular_simplex(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
     """True when every pairwise inner product equals -1/(n-1) within tol."""
     _require_vectors(f, "the regular-simplex property")
-    if f.n < 2:
-        raise ValueError("a simplex needs at least two vectors")
     g = _pair_blocks(f.array)[:, 0, 0]
     target = -1.0 / (f.n - 1)
     return bool(np.all(np.abs(g.real - target) <= tol) and np.all(np.abs(g.imag) <= tol))

@@ -304,13 +304,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_pack(args) -> int:
-    criterion = (
-        optimize_mod.Criterion.CHORDAL_OVERLAP
-        if args.criterion == "chordal"
-        else optimize_mod.Criterion.SPECTRAL_OVERLAP
-    )
     config = optimize_mod.PackConfig(
-        criterion=criterion,
+        criterion=optimize_mod.Criterion(args.criterion),
         iterations=args.iters,
         restarts=args.restarts,
         seed=args.seed,
@@ -400,7 +395,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--criterion", choices=("chordal", "spectral"), default="chordal")
+    p.add_argument("--criterion", choices=[k.value for k in optimize_mod.Criterion], default="chordal")
     p.add_argument("--seed", type=int, default=0, help="seed of the random starting frames (default 0)")
     p.add_argument(
         "--restarts",

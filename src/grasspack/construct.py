@@ -18,7 +18,7 @@ from . import bounds
 # orthonormalize is unused here but stays importable: bench/tracing.py
 # wraps grasspack.construct.orthonormalize.
 from .linalg import FieldTag, _orthonormal_columns, _qr_columns, orthonormalize  # noqa: F401
-from .metrics import FusionFrame
+from .metrics import FusionFrame, _require_vectors
 
 __all__ = [
     "DifferenceSet",
@@ -64,8 +64,7 @@ def regular_simplex(n: int) -> FusionFrame:
     the first n-1 projected vectors). The vectors sum to zero and the
     coordinates are reproducible run-to-run.
     """
-    if n < 2:
-        raise ValueError(f"a simplex needs n >= 2 vectors, got n = {n}")
+    bounds._check_n(n)
     proj = np.eye(n) - np.full((n, n), 1.0 / n)
     # Any n-1 of the projected basis vectors span the complement of the
     # all-ones line, so QR of the first n-1 gives a basis of it.
@@ -81,8 +80,7 @@ def orthoplex(d: int) -> FusionFrame:
     The antipodes are kept as distinct frame members, so as a vector set
     the coherence is 1 while the maximum signed inner product is 0.
     """
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    bounds._check_dc(d, 1)
     eye = np.eye(d)
     return FusionFrame.from_arrays(np.concatenate([eye, -eye])[:, :, None], FieldTag.REAL)
 
@@ -116,10 +114,9 @@ def tensor_eitff(etf: FusionFrame, c: int) -> FusionFrame:
     squared coherence; the ETF property itself is the caller's
     responsibility and is not checked here.
     """
-    if etf.c != 1:
-        raise ValueError(f"tensor construction starts from unit vectors (c = 1), got c = {etf.c}")
+    _require_vectors(etf, "the tensor construction")
     if c < 1:
-        raise ValueError(f"subspace dimension must be positive, got {c}")
+        raise ValueError(f"c must be positive, got {c}")
     # Entry [j, i c + k, l] is entry i of vector j times I[k, l].
     n, e, _ = etf.array.shape
     blocks = etf.array[:, :, :, None] * np.eye(c)

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .bounds import _check_n
 from .linalg import DEFAULT_TOL, FieldTag, Mat, _field_array, _FieldArray, singular_values
 
 __all__ = [
@@ -142,6 +143,12 @@ class FusionFrame(_FieldArray):
         return f"FusionFrame(n={self.n}, d={self.d}, c={self.c}, {self.field.value})"
 
 
+def _require_vectors(f: FusionFrame, what: str) -> None:
+    """The rule of every unit-vector notion (coherence, ETFs, simplices): c = 1."""
+    if f.c != 1:
+        raise ValueError(f"{what} is defined for unit vectors (c = 1), got c = {f.c}")
+
+
 class PrincipalAngles:
     """Nondecreasing angles in [0, pi/2] between two equi-dimensional subspaces."""
 
@@ -213,7 +220,11 @@ def _gram_blocks(x: np.ndarray) -> np.ndarray:
 
 
 def _pair_blocks(x: np.ndarray) -> np.ndarray:
-    """Cross-Gramians of all pairs j < j' of an (n, d, c) stack, as (P, c, c)."""
+    """Cross-Gramians of all pairs j < j' of an (n, d, c) stack, as (P, c, c).
+
+    The one all-pairs kernel, so it owns the check that there is a pair.
+    """
+    _check_n(x.shape[0])
     return _gram_blocks(x)[_triu(x.shape[0])]
 
 
@@ -282,18 +293,13 @@ def geodesic_distance(b1: SubspaceBasis, b2: SubspaceBasis) -> float:
 
 def min_chordal_packing(f: FusionFrame) -> float:
     """Smallest pairwise squared chordal distance (the squared packing radius)."""
-    if f.n < 2:
-        raise ValueError("packing radius needs at least two subspaces")
     dist = f.c - _frobenius_sq(_pair_blocks(f.array))
     return float(np.clip(dist, 0.0, f.c).min())
 
 
 def coherence(f: FusionFrame) -> float:
     """Largest pairwise |inner product| of a unit-vector frame (c = 1 only)."""
-    if f.c != 1:
-        raise ValueError(f"coherence is defined for unit vectors (c = 1), got c = {f.c}")
-    if f.n < 2:
-        raise ValueError("coherence needs at least two vectors")
+    _require_vectors(f, "coherence")
     return float(np.abs(_pair_blocks(f.array)).max())
 
 

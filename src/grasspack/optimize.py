@@ -8,18 +8,20 @@ squared spectral norm (spectral criterion, lower-bounded by
 
 Since the true max is nonsmooth exactly at the ties an optimal packing
 must have, the objective is smoothed with a log-sum-exp soft max of
-configurable sharpness; the spectral norm is additionally smoothed by
-the differentiable surrogate (Tr[(G* G)^p])^(1/p) with the fixed small
-power p = ``SPECTRAL_SMOOTHING_POWER``. Descent is plain gradient
-descent in the ambient entries, followed by QR re-orthonormalization of
-every basis (a retraction onto the product of Stiefel manifolds). The
-step size is fixed, with halving on objective increase (at most 20
-halvings per iteration) and no momentum. Runs are deterministic: restarts draw their starting frames
-from seeds derived from the configured seed. Each restart descends to
-its own stop. Once one ends within the tolerance of the governing lower
-bound (``bounds.governing_bound``), no later restart could beat it by
-more than that tolerance, so the remaining restarts are skipped. The
-best restart run wins, with ties broken by the lowest restart index.
+fixed sharpness ``SMOOTHING``; the spectral norm is additionally
+smoothed by the differentiable surrogate (Tr[(G* G)^p])^(1/p) with the
+fixed small power p = ``SPECTRAL_SMOOTHING_POWER``. Descent is plain
+gradient descent in the ambient entries, followed by QR
+re-orthonormalization of every basis (a retraction onto the product of
+Stiefel manifolds). Each line search starts from the fixed step
+``STEP_SIZE``, halving on objective increase (at most 20 halvings per
+iteration), with no momentum. Runs are deterministic: restarts draw
+their starting frames from seeds derived from the configured seed. Each
+restart descends to its own stop. Once one ends within the tolerance of
+the governing lower bound (``bounds.governing_bound``), no later restart
+could beat it by more than that tolerance, so the remaining restarts are
+skipped. The best restart run wins, with ties broken by the lowest
+restart index.
 
 No claim of global optimality is ever made; results report their gap to
 the governing bound and carry a structure certificate.
@@ -65,6 +67,11 @@ __all__ = [
 # spectral norm; larger p is tighter but stiffer.
 SPECTRAL_SMOOTHING_POWER = 4
 
+# Sharpness of the log-sum-exp soft max over pairs, and the first step of
+# each backtracking line search.
+SMOOTHING = 200.0
+STEP_SIZE = 0.05
+
 _MAX_HALVINGS = 20
 
 
@@ -80,8 +87,6 @@ class PackConfig:
     criterion: Criterion = Criterion.CHORDAL_OVERLAP
     iterations: int = 2000
     restarts: int = 10
-    step_size: float = 0.05
-    smoothing: float = 200.0
     seed: int = 0
     tolerance: float = 1e-8
 
@@ -90,10 +95,8 @@ class PackConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("step_size", "smoothing", "tolerance"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ def _soft_max(vals: np.ndarray, smoothing: float) -> tuple[float, np.ndarray]:
 def smoothed_objective(
     mats: Sequence[np.ndarray],
     criterion: Criterion = Criterion.CHORDAL_OVERLAP,
-    smoothing: float = 200.0,
+    smoothing: float = SMOOTHING,
 ) -> float:
     """Soft max of the pairwise overlaps of arbitrary d x c matrices.
 
@@ -154,7 +157,7 @@ def smoothed_objective(
 def smoothed_objective_and_gradient(
     mats: Sequence[np.ndarray],
     criterion: Criterion = Criterion.CHORDAL_OVERLAP,
-    smoothing: float = 200.0,
+    smoothing: float = SMOOTHING,
 ) -> tuple[float, np.ndarray]:
     """Objective value together with its gradient in the matrix entries.
 
@@ -191,8 +194,6 @@ def smoothed_objective_and_gradient(
 
 def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:
     """The true (unsmoothed) criterion value: the worst pairwise overlap."""
-    if f.n < 2:
-        raise ValueError("overlap needs at least two subspaces")
     blocks = _pair_blocks(f.array)
     if criterion is Criterion.CHORDAL_OVERLAP:
         return float(_frobenius_sq(blocks).max())
@@ -204,22 +205,23 @@ def _descend(mats: np.ndarray, config: PackConfig) -> tuple[np.ndarray, int]:
 
     ``mats`` is the (n, d, c) stack of the starting bases. Returns the
     final stack and the number of iterations that accepted a step. Stops
-    early once no step down to step_size/2^20 decreases the smoothed
-    objective.
+    early once no step down to STEP_SIZE/2^20 decreases the smoothed
+    objective. Only a finite trial value is accepted, so the objective
+    stays finite once the start's is.
     """
-    fval = smoothed_objective(mats, config.criterion, config.smoothing)
+    fval = smoothed_objective(mats, config.criterion)
     if not math.isfinite(fval):
-        raise NumericalError(f"non-finite objective {fval!r}; reduce the step size")
+        raise NumericalError(f"non-finite objective {fval!r} at the starting frame")
     used = 0
     for _ in range(config.iterations):
-        _, grads = smoothed_objective_and_gradient(mats, config.criterion, config.smoothing)
+        _, grads = smoothed_objective_and_gradient(mats, config.criterion)
         if not grads.any():
             break
-        step = config.step_size
+        step = STEP_SIZE
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial = _qr_columns(mats - step * grads)
-            ftrial = smoothed_objective(trial, config.criterion, config.smoothing)
+            ftrial = smoothed_objective(trial, config.criterion)
             if math.isfinite(ftrial) and ftrial < fval:
                 mats, fval = trial, ftrial
                 accepted = True
@@ -228,22 +230,21 @@ def _descend(mats: np.ndarray, config: PackConfig) -> tuple[np.ndarray, int]:
         if not accepted:
             break
         used += 1
-    if not math.isfinite(fval):
-        raise NumericalError(f"non-finite objective {fval!r}; reduce the step size")
     return mats, used
 
 
-def _result(frame: FusionFrame, achieved: float, config: PackConfig, used: int, restart_index: int) -> PackResult:
-    """A PackResult: the frame with its gap to the governing bound and its certificate."""
-    spectral = config.criterion is Criterion.SPECTRAL_OVERLAP
-    value, name = bounds.governing_bound(frame.n, frame.d, frame.c, frame.field, spectral)
+def _result(
+    frame: FusionFrame, achieved: float, governing: tuple[float, str], tolerance: float, used: int, restart_index: int
+) -> PackResult:
+    """A PackResult: the frame with its gap to the governing bound (value, name) and its certificate."""
+    value, name = governing
     return PackResult(
         frame=frame,
         achieved=achieved,
         bound=value,
         bound_name=name,
         gap=achieved - value,
-        certificate=certify(frame, config.tolerance),
+        certificate=certify(frame, tolerance),
         iterations_used=used,
         restart_index=restart_index,
     )
@@ -261,7 +262,7 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
     bit-identical results. Invalid (n, d, c) raise ValueError from
     ``bounds.governing_bound`` before any search starts.
     """
-    bound, _ = bounds.governing_bound(n, d, c, field, config.criterion is Criterion.SPECTRAL_OVERLAP)
+    governing = bounds.governing_bound(n, d, c, field, config.criterion is Criterion.SPECTRAL_OVERLAP)
     restart_seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(config.restarts, dtype=np.uint64)]
     best: tuple[float, int, FusionFrame, int] | None = None
     for r, seed in enumerate(restart_seeds):
@@ -271,10 +272,10 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
         achieved = worst_overlap(frame, config.criterion)
         if best is None or achieved < best[0]:
             best = (achieved, r, frame, used)
-        if achieved - bound <= config.tolerance:
+        if achieved - governing[0] <= config.tolerance:
             break
     achieved, restart_index, frame, used = best
-    return _result(frame, achieved, config, used, restart_index)
+    return _result(frame, achieved, governing, config.tolerance, used, restart_index)
 
 
 def polish(f: FusionFrame, config: PackConfig = PackConfig()) -> PackResult:
@@ -282,14 +283,14 @@ def polish(f: FusionFrame, config: PackConfig = PackConfig()) -> PackResult:
 
     The result is never worse than the input: if the descent on the
     smoothed objective fails to improve the true criterion value, the
-    input frame is returned unchanged.
+    input frame is returned unchanged. Invalid frames (n = 1) raise
+    ValueError from ``bounds.governing_bound`` before any descent.
     """
-    if f.n < 2:
-        raise ValueError(f"need n >= 2 subspaces, got n = {f.n}")
+    governing = bounds.governing_bound(f.n, f.d, f.c, f.field, config.criterion is Criterion.SPECTRAL_OVERLAP)
     initial_achieved = worst_overlap(f, config.criterion)
     mats, used = _descend(f.array, config)
     frame = FusionFrame.from_arrays(mats, f.field)
     achieved = worst_overlap(frame, config.criterion)
     if achieved > initial_achieved:
         frame, achieved, used = f, initial_achieved, 0
-    return _result(frame, achieved, config, used, 0)
+    return _result(frame, achieved, governing, config.tolerance, used, 0)

@@ -1,4 +1,4 @@
-"""The package's public surface and the README's Python quick start."""
+"""The package's public surface, its shared preconditions, and the README's Python quick start."""
 
 import importlib
 import re
@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import grasspack
+import grasspack as gp
 
 MODULES = ("bounds", "certify", "construct", "linalg", "metrics", "optimize")
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -16,16 +16,16 @@ def test_package_all_is_the_union_of_module_lists():
     union = set()
     for name in MODULES:
         union.update(importlib.import_module(f"grasspack.{name}").__all__)
-    assert grasspack.__all__ == sorted(union)
+    assert gp.__all__ == sorted(union)
 
 
 def test_every_public_name_is_its_module_object():
     for name in MODULES:
         module = importlib.import_module(f"grasspack.{name}")
         for attr in module.__all__:
-            assert getattr(grasspack, attr) is getattr(module, attr), f"{name}.{attr}"
-    assert grasspack.certify is importlib.import_module("grasspack.certify").certify
-    assert callable(grasspack.certify)
+            assert getattr(gp, attr) is getattr(module, attr), f"{name}.{attr}"
+    assert gp.certify is importlib.import_module("grasspack.certify").certify
+    assert callable(gp.certify)
 
 
 def quick_start() -> str:
@@ -50,3 +50,63 @@ def test_readme_quick_start_runs_and_its_comments_hold():
     assert gp.chordal_distance_sq(ns["b1"], ns["b2"]) == pytest.approx(2 - 0.5, abs=1e-12)
     assert gp.coherence(ns["etf"]) ** 2 == pytest.approx(2 / 9, abs=1e-12) == gp.welch_bound(7, 3)
     assert ns["result"].bound_name == "simplex"
+
+
+R = gp.FieldTag.REAL
+SPECTRAL = gp.Criterion.SPECTRAL_OVERLAP
+ONE_VECTOR = gp.FusionFrame.from_arrays([[[1.0], [0.0]]])  # n = 1, d = 2, c = 1
+PLANES = gp.random_frame(R, 4, 2, 3, 0)  # c = 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: gp.min_chordal_packing(ONE_VECTOR), id="min_chordal_packing"),
+        pytest.param(lambda: gp.coherence(ONE_VECTOR), id="coherence"),
+        pytest.param(lambda: gp.worst_overlap(ONE_VECTOR, gp.Criterion.CHORDAL_OVERLAP), id="worst_overlap"),
+        pytest.param(lambda: gp.worst_overlap(ONE_VECTOR, SPECTRAL), id="worst_overlap-spectral"),
+        pytest.param(lambda: gp.certify(ONE_VECTOR), id="certify"),
+        pytest.param(lambda: gp.is_equichordal(ONE_VECTOR), id="is_equichordal"),
+        pytest.param(lambda: gp.is_equiisoclinic(ONE_VECTOR), id="is_equiisoclinic"),
+        pytest.param(lambda: gp.is_equiangular(ONE_VECTOR), id="is_equiangular"),
+        pytest.param(lambda: gp.is_regular_simplex(ONE_VECTOR), id="is_regular_simplex"),
+        pytest.param(lambda: gp.smoothed_objective(ONE_VECTOR.array), id="smoothed_objective"),
+        pytest.param(lambda: gp.smoothed_objective(ONE_VECTOR.array, SPECTRAL), id="smoothed_objective-spectral"),
+        pytest.param(lambda: gp.smoothed_objective_and_gradient(ONE_VECTOR.array), id="smoothed_objective_and_gradient"),
+        pytest.param(lambda: gp.smoothed_objective_and_gradient(ONE_VECTOR.array, SPECTRAL), id="smoothed_objective_and_gradient-spectral"),
+        pytest.param(lambda: gp.polish(ONE_VECTOR), id="polish"),
+        pytest.param(lambda: gp.polish(ONE_VECTOR, gp.PackConfig(criterion=SPECTRAL)), id="polish-spectral"),
+        pytest.param(lambda: gp.pack(R, 2, 1, 1), id="pack"),
+        pytest.param(lambda: gp.regular_simplex(1), id="regular_simplex"),
+        pytest.param(lambda: gp.rankin_simplex_bound(1), id="rankin_simplex_bound"),
+        pytest.param(lambda: gp.welch_bound(1, 1), id="welch_bound"),
+        pytest.param(lambda: gp.simplex_bound_chordal(1, 2, 1), id="simplex_bound_chordal"),
+        pytest.param(lambda: gp.simplex_bound_gram(1, 2, 1), id="simplex_bound_gram"),
+        pytest.param(lambda: gp.eitff_bound(1, 2, 1), id="eitff_bound"),
+        pytest.param(lambda: gp.governing_bound(1, 2, 1, R), id="governing_bound"),
+        pytest.param(lambda: gp.bound_report(1, 2, 1, R), id="bound_report"),
+    ],
+)
+def test_every_pairwise_function_rejects_one_subspace_alike(call):
+    with pytest.raises(ValueError, match=r"^need n >= 2, got n = 1$"):
+        call()
+
+
+def test_a_single_vector_is_not_an_etf():
+    assert gp.is_etf(ONE_VECTOR) is False
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: gp.coherence(PLANES), id="coherence"),
+        pytest.param(lambda: gp.is_unit_norm_tight_frame(PLANES), id="is_unit_norm_tight_frame"),
+        pytest.param(lambda: gp.is_equiangular(PLANES), id="is_equiangular"),
+        pytest.param(lambda: gp.is_etf(PLANES), id="is_etf"),
+        pytest.param(lambda: gp.is_regular_simplex(PLANES), id="is_regular_simplex"),
+        pytest.param(lambda: gp.tensor_eitff(PLANES, 2), id="tensor_eitff"),
+    ],
+)
+def test_every_unit_vector_function_rejects_subspaces_alike(call):
+    with pytest.raises(ValueError, match=r" is defined for unit vectors \(c = 1\), got c = 2$"):
+        call()

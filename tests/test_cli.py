@@ -186,6 +186,13 @@ class TestConstructAndCertify:
         code, out, _ = run_capture(capsys, "certify", out_path, "--format", "json")
         assert json.loads(out)["is_eitff"] is True
 
+    @pytest.mark.parametrize("c", ["0", "-1"])
+    def test_tensor_bad_c_names_the_flag(self, tmp_path, capsys, c):
+        etf = str(tmp_path / "etf.json")
+        run_capture(capsys, "construct", "simplex", "--n", "3", "-o", etf)
+        code, out, err = run_capture(capsys, "construct", "tensor", etf, "--c", c)
+        assert (code, out, err) == (1, "", f"error: c must be positive, got {c}\n")
+
     def test_harmonic_and_orthoplex(self, tmp_path, capsys):
         h = str(tmp_path / "h.json")
         code, _, _ = run_capture(

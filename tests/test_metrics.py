@@ -309,7 +309,7 @@ class TestFrameMetrics:
         assert min_chordal_packing(regular_simplex(3)) == pytest.approx(0.75, abs=1e-12)
 
     def test_min_packing_needs_two(self):
-        with pytest.raises(ValueError, match="two"):
+        with pytest.raises(ValueError, match=r"^need n >= 2, got n = 1$"):
             min_chordal_packing(FusionFrame([span_e(2, [0])]))
 
     def test_coherence_orthonormal(self):
