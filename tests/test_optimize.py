@@ -32,6 +32,9 @@ class TestConfig:
         [
             {"iterations": 0},
             {"restarts": 0},
+            {"iterations": -1},
+            {"restarts": -1},
+            {"tolerance": -1.0},
             {"tolerance": 0.0},
         ],
     )
