@@ -3,13 +3,15 @@
 Every higher layer (subspace metrics, packing bounds, certification, the
 numerical search) runs on the handful of operations defined here: the
 storage rule of every field-tagged array, the field-tagged matrix type,
-singular values, and QR orthonormalization with a fixed sign
-convention. One rule holds for every field-tagged array in the package
-(a ``Mat``, a subspace basis, a frame's (n, d, c) stack): entries are
-finite and stored read-only as float64 over R and complex128 over C,
-and :func:`_field_array` is the one routine that validates them. All
-values are immutable and all functions are pure, so everything is safe
-to share across threads.
+singular values and the SVD, the self-adjoint eigendecomposition, and QR
+orthonormalization with a fixed sign convention. An SVD or
+eigendecomposition that fails to converge raises :class:`NumericalError`.
+One rule holds for every field-tagged array in the package (a ``Mat``, a
+subspace basis, a frame's (n, d, c) stack): entries are finite and
+stored read-only as float64 over R and complex128 over C, and
+:func:`_field_array` is the one routine that validates them. All values
+are immutable and all functions are pure, so everything is safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -137,13 +139,26 @@ class Mat(_FieldArray):
         return f"Mat({self.rows}x{self.cols}, {self.field.value})"
 
 
-def _svals(arr: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix or of each matrix in a stack, clamped to be nonnegative."""
+def _svd(arr: np.ndarray, compute_uv: bool = True):
+    """Reduced SVD (u, s, vh) of a matrix or of each matrix in a stack, or
+    only s when ``compute_uv`` is False. The package's one SVD call."""
     try:
-        s = np.linalg.svd(arr, compute_uv=False)
+        return np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    return np.maximum(s, 0.0)
+
+
+def _svals(arr: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix or of each matrix in a stack, clamped to be nonnegative."""
+    return np.maximum(_svd(arr, compute_uv=False), 0.0)
+
+
+def _eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a self-adjoint matrix."""
+    try:
+        return np.linalg.eigh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
 
 
 def singular_values(a: Mat) -> np.ndarray:

@@ -16,12 +16,26 @@ re-orthonormalization of every basis (a retraction onto the product of
 Stiefel manifolds). Each line search starts from the fixed step
 ``STEP_SIZE``, halving on objective increase (at most 20 halvings per
 iteration), with no momentum. Runs are deterministic: restarts draw
-their starting frames from seeds derived from the configured seed. Each
-restart descends to its own stop. Once one ends within the tolerance of
-the governing lower bound (``bounds.governing_bound``), no later restart
-could beat it by more than that tolerance, so the remaining restarts are
-skipped. The best restart run wins, with ties broken by the lowest
-restart index.
+their starting frames from seeds derived from the configured seed.
+
+A descent on a soft max brings the overlaps level quickly but makes the
+frame tight only slowly, so it often stops just short of a certificate.
+When the governing lower bound (``bounds.governing_bound``) is the
+simplex bound (``"simplex"``) or the EITFF bound (``"eitff"``), each
+restart's descent therefore stops once its true worst overlap is within
+``POLISH_CUT`` of the bound and hands the frame to a polish stage in the
+Gram domain: an
+alternating projection between the fusion Gram matrices of that bound's
+optimal structure (ECTFF or EITFF) and those of tight fusion frames. The
+polished frame is kept only if its certificate sets the ECTFF or EITFF
+flag and its true worst overlap is no worse than the descent's;
+otherwise the descent resumes on the rest of its iterations and hands
+over again at a tenth of the cut. Past the Gerzon limit (``"orthoplex"``)
+and when nc < d (``"trivial"``) there is no polish. Each restart runs to
+its own stop. Once one ends within the tolerance of the governing bound,
+no later restart could beat it by more than that tolerance, so the
+remaining restarts are skipped. The best restart run wins, with ties
+broken by the lowest restart index.
 
 No claim of global optimality is ever made; results report their gap to
 the governing bound and carry a structure certificate.
@@ -40,13 +54,14 @@ import numpy as np
 from . import bounds
 from .certify import Certificate, certify
 from .construct import random_frame
-from .linalg import FieldTag, NumericalError, _qr_columns, _svals
+from .linalg import FieldTag, NumericalError, _eigh, _qr_columns, _svals, _svd
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.optimize.cross_gramian.
 from .metrics import (  # noqa: F401
     FusionFrame,
     _flat,
     _frobenius_sq,
+    _gram_blocks,
     _pair_blocks,
     _triu,
     cross_gramian,
@@ -74,6 +89,23 @@ STEP_SIZE = 0.05
 
 _MAX_HALVINGS = 20
 
+# The polish stage near a "simplex" or "eitff" bound: a descent hands over
+# once its true worst overlap is within POLISH_CUT of the bound (each
+# failed polish divides the cut by 10). The polish stops once its
+# certificate holds at POLISH_MARGIN times the tolerance, after at most
+# POLISH_SWEEPS sweeps, or once its rate over the last POLISH_WINDOW
+# sweeps could not reach that by the cap.
+POLISH_CUT = 1e-2
+POLISH_SWEEPS = 200
+POLISH_MARGIN = 0.01
+POLISH_WINDOW = 10
+# What the polish reads off the certificate under each bound it runs for:
+# the flag of the optimal structure, the gap and the deviation from it.
+_STRUCTURES = {
+    "simplex": ("is_ectff", "simplex_gap", "beta_deviation"),
+    "eitff": ("is_eitff", "eitff_gap", "sigma_deviation"),
+}
+
 
 class Criterion(enum.Enum):
     """Which pairwise overlap the search minimizes the maximum of."""
@@ -95,8 +127,11 @@ class PackConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        if not isinstance(self.criterion, Criterion):
+            raise ValueError(f"criterion must be a Criterion, got {self.criterion!r}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +142,7 @@ class PackResult:
     bound_name: str  # "simplex", "eitff", "orthoplex" or "trivial"
     gap: float  # achieved - bound; >= -tolerance always
     certificate: Certificate
-    iterations_used: int
+    iterations_used: int  # descent iterations of the winning restart; polish sweeps are not counted
     restart_index: int
 
 
@@ -192,28 +227,45 @@ def smoothed_objective_and_gradient(
     return objective, grad.reshape(d, n, c).transpose(1, 0, 2)
 
 
-def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:
-    """The true (unsmoothed) criterion value: the worst pairwise overlap."""
-    blocks = _pair_blocks(f.array)
+def _worst_overlap(x: np.ndarray, criterion: Criterion) -> float:
+    """The worst pairwise overlap of an (n, d, c) stack of orthonormal bases."""
+    blocks = _pair_blocks(x)
     if criterion is Criterion.CHORDAL_OVERLAP:
         return float(_frobenius_sq(blocks).max())
     return float(_svals(blocks)[:, 0].max()) ** 2
 
 
-def _descend(mats: np.ndarray, config: PackConfig) -> tuple[np.ndarray, int]:
+def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:
+    """The true (unsmoothed) criterion value: the worst pairwise overlap."""
+    return _worst_overlap(f.array, criterion)
+
+
+def _descend(
+    mats: np.ndarray, config: PackConfig, budget: int, target: float | None = None
+) -> tuple[np.ndarray, int, bool]:
     """Backtracking gradient descent with QR retraction after every step.
 
-    ``mats`` is the (n, d, c) stack of the starting bases. Returns the
-    final stack and the number of iterations that accepted a step. Stops
-    early once no step down to STEP_SIZE/2^20 decreases the smoothed
+    ``mats`` is the (n, d, c) stack of the starting bases. Runs at most
+    ``budget`` iterations. Returns the final stack, the number of
+    iterations that accepted a step, and whether it stopped because an
+    accepted step brought the true worst overlap to ``target`` or below. The true value is computed only once
+    the objective passes a necessary pre-test: over P pairs the soft max
+    exceeds the largest smoothed overlap by at most log(P)/SMOOTHING, and
+    a smoothed overlap is the chordal overlap itself or, for the spectral
+    criterion, at most c^(1/p) times the squared spectral norm. Also
+    stops once no step down to STEP_SIZE/2^20 decreases the smoothed
     objective. Only a finite trial value is accepted, so the objective
     stays finite once the start's is.
     """
     fval = smoothed_objective(mats, config.criterion)
     if not math.isfinite(fval):
         raise NumericalError(f"non-finite objective {fval!r} at the starting frame")
+    if target is not None:
+        n, _, c = mats.shape
+        surrogate = c ** (1.0 / SPECTRAL_SMOOTHING_POWER) if config.criterion is Criterion.SPECTRAL_OVERLAP else 1.0
+        pretest = surrogate * target + math.log(n * (n - 1) // 2) / SMOOTHING
     used = 0
-    for _ in range(config.iterations):
+    for _ in range(budget):
         _, grads = smoothed_objective_and_gradient(mats, config.criterion)
         if not grads.any():
             break
@@ -230,7 +282,126 @@ def _descend(mats: np.ndarray, config: PackConfig) -> tuple[np.ndarray, int]:
         if not accepted:
             break
         used += 1
-    return mats, used
+        if target is not None and fval <= pretest:
+            if _worst_overlap(mats, config.criterion) <= target:
+                return mats, used, True
+    return mats, used, False
+
+
+def _structural_projection(gram: np.ndarray, governing: tuple[float, str]) -> np.ndarray:
+    """Nearest fusion Gram matrix in the structural set of a "simplex" or "eitff" bound.
+
+    ``gram`` is an (n, n, c, c) block matrix, projected block by block:
+    diagonal blocks become I, and each off-diagonal block G becomes
+    sqrt(bound) G/||G||_F for "simplex" (every squared Frobenius overlap
+    at the bound, as in an ECTFF; a zero block stays zero) or
+    sqrt(bound) U V* from G = U S V* for "eitff" (sigma times the polar
+    factor, as in an EITFF).
+    """
+    value, name = governing
+    n, _, c, _ = gram.shape
+    if name == "simplex":
+        norms = np.sqrt(_frobenius_sq(gram))
+        scale = np.divide(math.sqrt(value), norms, out=np.zeros_like(norms), where=norms > 0.0)
+        out = scale[..., None, None] * gram
+    else:
+        u, _, vh = _svd(gram)
+        out = math.sqrt(value) * (u @ vh)
+    out[np.arange(n), np.arange(n)] = np.eye(c)
+    return out
+
+
+def _gram_to_frame(gram: np.ndarray, d: int) -> np.ndarray:
+    """An (n, d, c) stack of orthonormal bases from a self-adjoint (n, n, c, c) Gram matrix.
+
+    The top d eigenvectors V (nc x d) of ``gram`` span the nearest rank-d
+    projection; the d x nc matrix V* is split into its n d x c blocks,
+    and each is orthonormalized by one stacked QR. A tight fusion frame's
+    Gram matrix, (nc/d) times a rank-d projection, gives back a frame
+    with that same Gram matrix.
+    """
+    n, _, c, _ = gram.shape
+    _, vecs = _eigh(gram.transpose(0, 2, 1, 3).reshape(n * c, n * c))
+    top = vecs[:, -d:].conj().T
+    return _qr_columns(top.reshape(d, n, c).transpose(1, 0, 2))
+
+
+def _polish_stage(
+    frame: FusionFrame, achieved: float, governing: tuple[float, str], config: PackConfig
+) -> tuple[FusionFrame, float] | None:
+    """Alternating projection in the Gram domain from a frame near a "simplex" or "eitff" bound.
+
+    Each sweep projects the frame's fusion Gram matrix onto the bound's
+    structural set and factors the result back to a frame, which lands
+    it near the spectral set of tight fusion frames (nc/d times a rank-d
+    projection); Tropp, Dhillon, Heath and Strohmer, IEEE Trans. Inf.
+    Theory 2005, and Dhillon, Heath, Strohmer and Tropp, Exp. Math. 2008.
+    Stops once the certificate at POLISH_MARGIN * tolerance sets the flag
+    of the bound (ECTFF or EITFF) with a gap of at most that much, so the
+    result holds its certificate with margin. Otherwise it stops after
+    POLISH_SWEEPS sweeps, or earlier once its residual (the tightness
+    residual or the deviation from equal overlaps, whichever is larger)
+    is out of reach (:func:`_out_of_reach`), and then needs the flag at
+    the tolerance itself. Returns the polished frame and its true worst
+    overlap when the flag is set and that overlap is at most
+    ``achieved``; otherwise None.
+    """
+    flag, gap_field, deviation_field = _STRUCTURES[governing[1]]
+    strict = POLISH_MARGIN * config.tolerance
+    polished, residuals = frame, []
+    while True:
+        cert = certify(polished, strict)
+        if getattr(cert, flag) and getattr(cert, gap_field) <= strict:
+            break
+        residuals.append(max(cert.tight_residual, getattr(cert, deviation_field)))
+        if len(residuals) > POLISH_SWEEPS or _out_of_reach(residuals, strict):
+            if not getattr(certify(polished, config.tolerance), flag):
+                return None
+            break
+        mats = _gram_to_frame(_structural_projection(_gram_blocks(polished.array), governing), frame.d)
+        polished = FusionFrame.from_arrays(mats, frame.field)
+    value = worst_overlap(polished, config.criterion)
+    return (polished, value) if value <= achieved else None
+
+
+def _out_of_reach(residuals: list[float], strict: float) -> bool:
+    """Whether a polish whose residual after sweep k is ``residuals[k]``
+    would still be above ``strict`` at the sweep cap, shrinking at its
+    geometric rate over the last POLISH_WINDOW sweeps."""
+    sweep = len(residuals) - 1
+    if sweep < POLISH_WINDOW:
+        return False
+    now, then = residuals[-1], residuals[-1 - POLISH_WINDOW]
+    if not (now > 0.0 and then > 0.0):
+        return False
+    log_rate = math.log(now / then) / POLISH_WINDOW
+    return math.log(now / strict) + log_rate * (POLISH_SWEEPS - sweep) > 0.0
+
+
+def _restart(
+    mats: np.ndarray, field: FieldTag, governing: tuple[float, str], config: PackConfig
+) -> tuple[FusionFrame, float, int]:
+    """One restart from the (n, d, c) stack ``mats``: its frame, true worst overlap and descent iterations.
+
+    Near a "simplex" or "eitff" bound the descent stops once the true
+    worst overlap is within the cut (POLISH_CUT) of the bound and hands
+    the frame to the polish stage. If the polish fails, the descent
+    resumes on the rest of its iterations with the cut divided by 10.
+    """
+    value, name = governing
+    cut = POLISH_CUT if name in _STRUCTURES else None
+    used = 0
+    while True:
+        mats, steps, reached = _descend(mats, config, config.iterations - used, None if cut is None else value + cut)
+        used += steps
+        frame = FusionFrame.from_arrays(mats, field)
+        achieved = worst_overlap(frame, config.criterion)
+        if not reached:
+            return frame, achieved, used
+        polished = _polish_stage(frame, achieved, governing, config)
+        if polished is not None:
+            return (*polished, used)
+        cut /= 10
 
 
 def _result(
@@ -253,13 +424,18 @@ def _result(
 def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfig()) -> PackResult:
     """Search for n well-separated c-dimensional subspaces of F^d.
 
-    Runs up to ``config.restarts`` independent descents from seeded
+    Runs up to ``config.restarts`` independent restarts from seeded
     random frames and returns the best by achieved criterion value (ties
-    to the lowest restart index). Each descent runs to its own stop; the
-    search ends early after the first restart whose achieved value is
-    within ``config.tolerance`` of the governing bound, since no later
-    restart can beat it by more than that. Identical configs produce
-    bit-identical results. Invalid (n, d, c) raise ValueError from
+    to the lowest restart index). Each restart descends to its own stop;
+    near a "simplex" or "eitff" bound the descent hands over to the
+    Gram-domain polish stage, which keeps its frame only if that frame
+    certifies as an ECTFF or EITFF and is no worse (see
+    :func:`_polish_stage`). The search ends early after the first restart
+    whose achieved value is within ``config.tolerance`` of the governing
+    bound, since no later restart can beat it by more than that.
+    ``iterations_used`` counts the winning restart's descent iterations
+    only, not polish sweeps. Identical configs produce bit-identical
+    results. Invalid (n, d, c) raise ValueError from
     ``bounds.governing_bound`` before any search starts.
     """
     governing = bounds.governing_bound(n, d, c, field, config.criterion is Criterion.SPECTRAL_OVERLAP)
@@ -267,9 +443,7 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
     best: tuple[float, int, FusionFrame, int] | None = None
     for r, seed in enumerate(restart_seeds):
         start = random_frame(field, d, c, n, seed)
-        mats, used = _descend(start.array, config)
-        frame = FusionFrame.from_arrays(mats, field)
-        achieved = worst_overlap(frame, config.criterion)
+        frame, achieved, used = _restart(start.array, field, governing, config)
         if best is None or achieved < best[0]:
             best = (achieved, r, frame, used)
         if achieved - governing[0] <= config.tolerance:
@@ -279,18 +453,18 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
 
 
 def polish(f: FusionFrame, config: PackConfig = PackConfig()) -> PackResult:
-    """Run the descent from an existing frame instead of a random start.
+    """Run one restart of the search (the descent, then near a "simplex"
+    or "eitff" bound the polish stage) from an existing frame instead of
+    a random start.
 
-    The result is never worse than the input: if the descent on the
-    smoothed objective fails to improve the true criterion value, the
-    input frame is returned unchanged. Invalid frames (n = 1) raise
-    ValueError from ``bounds.governing_bound`` before any descent.
+    The result is never worse than the input: if the restart fails to
+    improve the true criterion value, the input frame is returned
+    unchanged. Invalid frames (n = 1) raise ValueError from
+    ``bounds.governing_bound`` before any descent.
     """
     governing = bounds.governing_bound(f.n, f.d, f.c, f.field, config.criterion is Criterion.SPECTRAL_OVERLAP)
     initial_achieved = worst_overlap(f, config.criterion)
-    mats, used = _descend(f.array, config)
-    frame = FusionFrame.from_arrays(mats, f.field)
-    achieved = worst_overlap(frame, config.criterion)
+    frame, achieved, used = _restart(f.array, f.field, governing, config)
     if achieved > initial_achieved:
         frame, achieved, used = f, initial_achieved, 0
     return _result(frame, achieved, governing, config.tolerance, used, 0)

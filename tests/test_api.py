@@ -50,6 +50,8 @@ def test_readme_quick_start_runs_and_its_comments_hold():
     assert gp.chordal_distance_sq(ns["b1"], ns["b2"]) == pytest.approx(2 - 0.5, abs=1e-12)
     assert gp.coherence(ns["etf"]) ** 2 == pytest.approx(2 / 9, abs=1e-12) == gp.welch_bound(7, 3)
     assert ns["result"].bound_name == "simplex"
+    assert re.search(r"^result\.certificate\.is_ectff +# True$", code, re.M)
+    assert ns["result"].certificate.is_ectff
 
 
 R = gp.FieldTag.REAL

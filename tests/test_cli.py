@@ -518,3 +518,15 @@ def test_certify_svd_failure_exits_2(tmp_path, capsys, monkeypatch):
     code, out, err = run_capture(capsys, "certify", path)
     assert (code, out) == (2, "")
     assert err.startswith("numerical failure: SVD failed to converge")
+
+
+def test_pack_eigendecomposition_failure_exits_2(capsys, monkeypatch):
+    # (R,2,1,3) reaches its simplex bound, so pack runs the polish stage,
+    # whose Gram-to-frame step is one eigendecomposition per sweep.
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    code, out, err = run_capture(capsys, "pack", "--field", "R", "--d", "2", "--c", "1", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: eigendecomposition failed to converge")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grasspack.linalg import FieldTag, Mat, _qr_columns, orthonormalize, singular_values
+from grasspack.linalg import FieldTag, Mat, NumericalError, _eigh, _qr_columns, _svd, orthonormalize, singular_values
 
 from conftest import gaussian_matrix
 
@@ -98,6 +98,30 @@ class TestSingularValues:
             frob = float(np.linalg.norm(a.array))
             assert spec <= frob + 1e-12
             assert frob <= 2.0 * spec + 1e-12  # sqrt(min dim) = 2
+
+
+class TestFactorizations:
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_svd_of_a_stack_reconstructs(self, rng, field):
+        a = np.stack([gaussian_matrix(3, 3, field, rng) for _ in range(4)])
+        u, s, vh = _svd(a)
+        assert np.abs((u * s[..., None, :]) @ vh - a).max() <= 1e-12
+
+    def test_eigh_of_a_self_adjoint_matrix(self, rng):
+        a = gaussian_matrix(5, 5, FieldTag.COMPLEX, rng)
+        h = a + a.conj().T
+        w, v = _eigh(h)
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-12
+
+    @pytest.mark.parametrize("name, call", [("svd", lambda: _svd(np.eye(2))), ("eigh", lambda: _eigh(np.eye(2)))])
+    def test_non_convergence_is_a_numerical_error(self, monkeypatch, name, call):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, name, no_convergence)
+        with pytest.raises(NumericalError, match="failed to converge: did not converge$"):
+            call()
 
 
 class TestOrthonormalize:

@@ -5,14 +5,21 @@ import numpy as np
 import pytest
 
 from grasspack import construct
-from grasspack.bounds import eitff_bound, simplex_bound_gram
-from grasspack.construct import random_frame, regular_simplex, tensor_eitff
+from grasspack.bounds import eitff_bound, governing_bound, simplex_bound_gram
+from grasspack.construct import DifferenceSet, harmonic_etf, random_frame, regular_simplex, tensor_eitff
 from grasspack.linalg import FieldTag, NumericalError
-from grasspack.metrics import FusionFrame
+from grasspack.metrics import FusionFrame, _gram_blocks
 from grasspack.optimize import (
     Criterion,
     PackConfig,
     _descend,
+    POLISH_CUT,
+    POLISH_SWEEPS,
+    POLISH_WINDOW,
+    _gram_to_frame,
+    _out_of_reach,
+    _polish_stage,
+    _structural_projection,
     pack,
     polish,
     smoothed_objective,
@@ -64,6 +71,16 @@ class TestConfig:
     def test_rejects_non_integer_counts(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
             PackConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", ["1e-8", None, True])
+    def test_rejects_non_real_tolerance(self, value):
+        with pytest.raises(ValueError, match=f"^tolerance must be finite and positive, got {re.escape(repr(value))}$"):
+            PackConfig(tolerance=value)
+
+    @pytest.mark.parametrize("value", ["chordal", None, 1])
+    def test_rejects_non_criterion(self, value):
+        with pytest.raises(ValueError, match=f"^criterion must be a Criterion, got {re.escape(repr(value))}$"):
+            PackConfig(criterion=value)
 
     def test_accepts_numpy_integers(self):
         config = PackConfig(iterations=np.int64(3), restarts=np.int32(2), seed=np.uint64(2**63))
@@ -138,7 +155,7 @@ class TestObjective:
         # The overflow itself must stay quiet: any warning fails the test.
         huge = np.full((2, 2, 1), 1e200)
         with pytest.raises(NumericalError, match="at the starting frame$"):
-            _descend(huge, PackConfig(iterations=5, restarts=1))
+            _descend(huge, PackConfig(iterations=5, restarts=1), 5)
 
 
 class TestPack:
@@ -222,7 +239,7 @@ def _best_of_all_restarts(field, d, c, n, config):
     seeds = np.random.SeedSequence(config.seed).generate_state(config.restarts, dtype=np.uint64)
     best = None
     for r, seed in enumerate(seeds):
-        mats, used = _descend(random_frame(field, d, c, n, int(seed)).array, config)
+        mats, used, _ = _descend(random_frame(field, d, c, n, int(seed)).array, config, config.iterations)
         achieved = worst_overlap(FusionFrame.from_arrays(mats, field), config.criterion)
         if best is None or achieved < best[0]:
             best = (achieved, r, mats, used)
@@ -319,8 +336,159 @@ class TestPolish:
         f = tensor_eitff(regular_simplex(3), 2)
         before = worst_overlap(f, Criterion.CHORDAL_OVERLAP)
         worse = np.stack([f.array[0]] * 3)
-        monkeypatch.setattr("grasspack.optimize._descend", lambda mats, config: (worse, 7))
+        monkeypatch.setattr("grasspack.optimize._descend", lambda mats, config, budget, target: (worse, 7, False))
         result = polish(f, PackConfig(iterations=40))
         assert result.frame.array.tobytes() == f.array.tobytes()
         assert result.achieved == before
         assert result.iterations_used == 0
+
+
+ETF_13 = harmonic_etf(DifferenceSet(13, [0, 1, 3, 9]))
+# Tight frames at their bounds: the (C,4,1,13) harmonic ETF, its (C,12,3,13)
+# tensor EITFF and the (R,4,1,5) regular simplex.
+AT_BOUND = {"etf-13": ETF_13, "eitff-13x3": tensor_eitff(ETF_13, 3), "simplex-5": regular_simplex(5)}
+
+
+def _governing(f: FusionFrame, name: str) -> tuple[float, str]:
+    return governing_bound(f.n, f.d, f.c, f.field, name == "eitff")
+
+
+class TestGramRoutines:
+    @pytest.mark.parametrize("name", ["simplex", "eitff"])
+    @pytest.mark.parametrize("key", list(AT_BOUND))
+    def test_structural_projection_fixes_frames_at_the_bound(self, key, name):
+        f = AT_BOUND[key]
+        governing = _governing(f, name)
+        assert governing[1] == name
+        gram = _gram_blocks(f.array)
+        assert np.abs(_structural_projection(gram, governing) - gram).max() <= 1e-12
+
+    @pytest.mark.parametrize("key", list(AT_BOUND))
+    def test_gram_to_frame_round_trip(self, key):
+        f = AT_BOUND[key]
+        mats = _gram_to_frame(_gram_blocks(f.array), f.d)
+        assert mats.shape == f.array.shape and mats.dtype == f.array.dtype
+        assert np.abs(_gram_blocks(mats) - _gram_blocks(f.array)).max() <= 1e-12
+
+    def test_round_trip_covers_both_fields(self):
+        assert {f.field for f in AT_BOUND.values()} == {R, C}
+
+    def test_simplex_projection_rescales_off_diagonal_blocks(self):
+        f = random_frame(R, 4, 2, 3, 1)
+        out = _structural_projection(_gram_blocks(f.array), (0.5, "simplex"))
+        for j in range(3):
+            assert np.array_equal(out[j, j], np.eye(2))
+            for jj in range(3):
+                if jj != j:
+                    assert np.linalg.norm(out[j, jj]) ** 2 == pytest.approx(0.5, abs=1e-14)
+
+    def test_eitff_projection_gives_scaled_unitaries(self):
+        f = random_frame(C, 4, 2, 3, 1)
+        out = _structural_projection(_gram_blocks(f.array), (0.25, "eitff"))
+        g = out[0, 1]
+        assert np.abs(g.conj().T @ g - 0.25 * np.eye(2)).max() <= 1e-14
+
+
+class TestPolishStage:
+    def test_certifies_near_the_bound(self):
+        # The (R,4,2,3) descent stopped at gap <= POLISH_CUT.
+        config = PackConfig(restarts=1)
+        f = random_frame(R, 4, 2, 3, 0)
+        governing = _governing(f, "simplex")
+        mats, _, reached = _descend(f.array, config, config.iterations, governing[0] + POLISH_CUT)
+        assert reached
+        near = FusionFrame.from_arrays(mats, R)
+        achieved = worst_overlap(near, Criterion.CHORDAL_OVERLAP)
+        frame, value = _polish_stage(near, achieved, governing, config)
+        assert frame.n == 3 and value <= achieved
+        assert value - governing[0] <= 1e-10
+
+    def test_keeps_nothing_worse_than_the_descent(self):
+        f = AT_BOUND["simplex-5"]
+        # The frame certifies, but its overlap exceeds the descent's claimed value.
+        assert _polish_stage(f, 0.0, _governing(f, "simplex"), PackConfig()) is None
+
+    def test_out_of_reach_extrapolates_the_recent_rate(self):
+        stalled = [1e-3] * (POLISH_WINDOW + 1)
+        assert _out_of_reach(stalled, 1e-10)
+        # Halving every sweep reaches 1e-10 from 1e-3 in 24 sweeps.
+        halving = [1e-3 * 0.5**k for k in range(POLISH_WINDOW + 1)]
+        assert not _out_of_reach(halving, 1e-10)
+        assert not _out_of_reach(stalled[:POLISH_WINDOW], 1e-10)
+        # Near the cap even a fast rate runs out of sweeps.
+        assert _out_of_reach([1.0] * (POLISH_SWEEPS - POLISH_WINDOW) + halving, 1e-10)
+
+    def test_fails_without_an_ectff(self):
+        # No five equiangular lines span R^3, so no sweep can set the flag.
+        f = random_frame(R, 3, 1, 5, 0)
+        achieved = worst_overlap(f, Criterion.CHORDAL_OVERLAP)
+        assert _polish_stage(f, achieved, _governing(f, "simplex"), PackConfig()) is None
+
+
+def _count_polishes(monkeypatch, fail: bool = False) -> list:
+    """Record every polish-stage call; with ``fail``, every call fails without polishing."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return None if fail else _polish_stage(*args)
+
+    monkeypatch.setattr("grasspack.optimize._polish_stage", counting)
+    return calls
+
+
+# The benchmark's search-known instances, with the flag their optimum sets.
+SEARCH_KNOWN = {
+    "simplex-R-2-1-3": (R, 2, 1, 3, Criterion.CHORDAL_OVERLAP, "is_ectff"),
+    "ectff-R-4-2-3": (R, 4, 2, 3, Criterion.CHORDAL_OVERLAP, "is_ectff"),
+    "etf-C-3-1-7": (C, 3, 1, 7, Criterion.CHORDAL_OVERLAP, "is_ectff"),
+    "eitff-R-4-2-3": (R, 4, 2, 3, Criterion.SPECTRAL_OVERLAP, "is_eitff"),
+}
+
+
+class TestPackPolish:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("field, d, c, n, criterion, flag", list(SEARCH_KNOWN.values()), ids=list(SEARCH_KNOWN))
+    def test_known_optima_certify(self, field, d, c, n, criterion, flag, seed):
+        result = pack(field, d, c, n, PackConfig(criterion=criterion, seed=seed))
+        assert getattr(result.certificate, flag)
+        assert -1e-8 <= result.gap <= 1e-8
+
+    @pytest.mark.parametrize(
+        "d, c, n, name",
+        [(2, 1, 4, "orthoplex"), (6, 2, 2, "trivial")],
+    )
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    def test_no_polish_without_a_structural_set(self, monkeypatch, d, c, n, name, criterion):
+        calls = _count_polishes(monkeypatch)
+        result = pack(R, d, c, n, PackConfig(criterion=criterion, iterations=300, restarts=2))
+        assert result.bound_name == name
+        assert calls == []
+
+    def test_far_from_the_bound_is_the_descent_alone(self, monkeypatch):
+        config = PackConfig(iterations=30, restarts=1)
+        achieved, restart_index, mats, used = _best_of_all_restarts(R, 6, 2, 16, config)
+        calls = _count_polishes(monkeypatch)
+        result = pack(R, 6, 2, 16, config)
+        assert calls == []
+        assert result.achieved == achieved
+        assert result.iterations_used == used
+        assert result.frame.array.tobytes() == mats.tobytes()
+
+    def test_failed_polish_resumes_the_descent(self, monkeypatch):
+        # A polish that never succeeds leaves exactly the descent-only search.
+        config = PackConfig(iterations=300, restarts=2)
+        achieved, restart_index, mats, used = _best_of_all_restarts(R, 4, 2, 3, config)
+        calls = _count_polishes(monkeypatch, fail=True)
+        result = pack(R, 4, 2, 3, config)
+        assert len(calls) >= 2
+        assert result.achieved == achieved
+        assert result.restart_index == restart_index
+        assert result.iterations_used == used
+        assert result.frame.array.tobytes() == mats.tobytes()
+
+    def test_polish_runs_the_stage_after_its_descent(self):
+        f = random_frame(R, 4, 2, 3, 2)
+        result = polish(f, PackConfig())
+        assert result.certificate.is_ectff
+        assert result.gap <= 1e-10
