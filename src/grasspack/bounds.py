@@ -51,12 +51,12 @@ def welch_bound(n: int, d: int) -> float:
     """Lower bound (n-d)/(d(n-1)) on the squared coherence of n unit vectors in F^d.
 
     Requires n >= d >= 1 and n >= 2; attained exactly by equiangular
-    tight frames.
+    tight frames. It is the c = 1 simplex bound :func:`simplex_bound_gram`.
     """
     _check_ndc(n, d, 1)
     if n < d:
         raise ValueError(f"Welch bound needs n >= d, got n = {n}, d = {d}")
-    return (n - d) / (d * (n - 1))
+    return simplex_bound_gram(n, d, 1)
 
 
 def rankin_simplex_bound(n: int) -> float:

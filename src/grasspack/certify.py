@@ -31,7 +31,6 @@ from .metrics import (  # noqa: F401
 
 __all__ = [
     "Certificate",
-    "EquiangularResult",
     "EquichordalResult",
     "EquiisoclinicResult",
     "TightnessResult",
@@ -65,13 +64,6 @@ class EquiisoclinicResult:
     flag: bool
     sigma_sq: float  # mean of (1/c) ||cross-Gramian||_F^2 over pairs
     deviation: float  # worst ||G* G - sigma_sq I||_F over pairs
-
-
-@dataclass(frozen=True)
-class EquiangularResult:
-    flag: bool
-    beta: float  # mean squared modulus of the off-diagonal Gram entries
-    deviation: float
 
 
 @dataclass(frozen=True)
@@ -208,35 +200,27 @@ def is_unit_norm_tight_frame(f: FusionFrame, tol: float = DEFAULT_TOL) -> Tightn
     return is_tight_fusion_frame(f, tol)
 
 
-def is_equiangular(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiangularResult:
-    """Check that all pairwise |inner products| of unit vectors agree."""
+def is_equiangular(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquichordalResult:
+    """Check that all pairwise |inner products| of unit vectors agree: at c = 1
+    the squared cross-Gramian norm is the squared inner product, so this is :func:`is_equichordal`."""
     _require_vectors(f, "equiangularity")
-    # For c = 1 the squared cross-Gramian norm is the squared inner product.
-    r = _equichordal(_frobenius_sq(_pair_blocks(f.array)), tol)
-    return EquiangularResult(flag=r.flag, beta=r.beta, deviation=r.deviation)
+    return is_equichordal(f, tol)
 
 
 def is_etf(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
-    """True when the unit vectors are both equiangular and a tight frame.
+    """True when the unit vectors form an equiangular tight frame.
 
-    A positive verdict also requires the squared coherence to sit at the
-    Welch bound, which it must for a genuine ETF. A single vector is not
+    An ETF is an ECTFF with c = 1, whose forced beta is the Welch bound,
+    so this is :func:`certify`'s ECTFF verdict. A single vector is not
     an ETF: n = 1 gives False rather than an error.
     """
     _require_vectors(f, "the ETF property")
-    if f.n < 2:
-        return False
-    sq = _frobenius_sq(_pair_blocks(f.array))
-    if not (_equichordal(sq, tol).flag and is_unit_norm_tight_frame(f, tol).flag):
-        return False
-    # Tightness forces n >= d, so the Welch bound is well-defined here.
-    w = bounds.welch_bound(f.n, f.d)
-    return abs(float(sq.max()) - w) <= tol * max(1.0, w)
+    return f.n >= 2 and certify(f, tol).is_ectff
 
 
 def is_regular_simplex(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
-    """True when every pairwise inner product equals -1/(n-1) within tol."""
+    """True when every pairwise inner product equals Rankin's simplex bound -1/(n-1) within tol."""
     _require_vectors(f, "the regular-simplex property")
     g = _pair_blocks(f.array)[:, 0, 0]
-    target = -1.0 / (f.n - 1)
+    target = bounds.rankin_simplex_bound(f.n)
     return bool(np.all(np.abs(g.real - target) <= tol) and np.all(np.abs(g.imag) <= tol))
