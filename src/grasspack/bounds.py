@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field as dataclass_field
 from typing import NamedTuple
 
-from .linalg import FieldTag
+from .linalg import FieldTag, _check_count, _check_field
 
 __all__ = [
     "BoundReport",
@@ -30,16 +30,28 @@ __all__ = [
 
 
 def _check_dc(d: int, c: int) -> None:
+    _check_count(d, "d")
+    _check_count(c, "c")
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     if not 1 <= c <= d:
         raise ValueError(f"need 1 <= c <= d, got c = {c}, d = {d}")
 
 
-def _check_n(n: int) -> None:
-    """Every pairwise quantity (overlaps, bounds, gaps) needs two subspaces."""
+def _check_pair(n: int) -> None:
+    """Every pairwise quantity (overlaps, bounds, gaps) needs two subspaces.
+
+    Value only: the all-pairs kernel reads n off an array shape on every
+    objective evaluation. An n given by a caller goes through :func:`_check_n`.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got n = {n}")
+
+
+def _check_n(n: int) -> None:
+    """An n given by a caller: an integer, at least 2."""
+    _check_count(n, "n")
+    _check_pair(n)
 
 
 def _check_ndc(n: int, d: int, c: int) -> None:
@@ -75,6 +87,7 @@ def rankin_orthoplex_bound(n: int, d: int) -> float | None:
     Returns 0.0 in that regime (attained by an orthoplex with n = 2d)
     and None when n <= d + 1, where the simplex bound governs instead.
     """
+    _check_ndc(n, d, 1)
     if n >= d + 2:
         return 0.0
     return None
@@ -109,6 +122,7 @@ def eitff_bound(n: int, d: int, c: int) -> float:
 def gerzon_limit(d: int, field: FieldTag) -> int:
     """Maximum possible number of equiangular lines: d(d+1)/2 over R, d^2 over C."""
     _check_dc(d, 1)
+    _check_field(field)
     if field is FieldTag.REAL:
         return d * (d + 1) // 2
     return d * d
@@ -133,7 +147,7 @@ def orthoplex_bound(n: int, d: int, c: int, field: FieldTag) -> OrthoplexBound |
     radius is at most c(d-c)/d, equivalently the worst Frobenius overlap
     is at least c^2/d. Returns None outside that regime.
     """
-    _check_dc(d, c)
+    _check_ndc(n, d, c)
     if n <= gerzon_limit(d, field):
         return None
     return OrthoplexBound(chordal=c * (d - c) / d, gram=c * c / d)

@@ -5,8 +5,9 @@ justify it, so a near-miss can be diagnosed; a frame is never "almost"
 certified. Tightness, equi-chordality and equi-isoclinicity combine
 into ECTFF / EITFF verdicts, and :func:`certify` additionally reports the
 gap between the frame's worst pairwise overlap and each applicable
-packing bound. Constants are estimated by averaging over all pairs
-rather than privileging the first pair.
+packing bound. The unit-vector predicates (ETF, equiangularity, regular
+simplex) are their c = 1 cases. Constants are estimated by averaging
+over all pairs rather than privileging the first pair.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bounds
-from .linalg import DEFAULT_TOL, _svals
+from .linalg import DEFAULT_TOL, _check_tol, _svals
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.certify.cross_gramian.
 from .metrics import (  # noqa: F401
@@ -96,6 +97,7 @@ def is_tight_fusion_frame(f: FusionFrame, tol: float = DEFAULT_TOL) -> Tightness
     The constant is forced by the trace, so only the relative residual
     ||sum P_j - (nc/d) I||_F / ((nc/d) sqrt(d)) is measured.
     """
+    _check_tol(tol)
     alpha = f.n * f.c / f.d
     s = fusion_frame_operator(f).array
     residual = float(np.linalg.norm(s - alpha * np.eye(f.d))) / (alpha * math.sqrt(f.d))
@@ -110,6 +112,7 @@ def _equichordal(overlaps: np.ndarray, tol: float) -> EquichordalResult:
 
 def is_equichordal(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquichordalResult:
     """Check that all pairwise squared Frobenius cross-Gramian norms agree."""
+    _check_tol(tol)
     return _equichordal(_frobenius_sq(_pair_blocks(f.array)), tol)
 
 
@@ -130,6 +133,7 @@ def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicR
     bases this is the projection identity P2 P1 P2 = sigma_sq P2, since
     P2 P1 P2 - sigma_sq P2 = A2 (G* G - sigma_sq I) A2*.
     """
+    _check_tol(tol)
     blocks = _pair_blocks(f.array)
     return _equiisoclinic(f.c, _frobenius_sq(blocks), _svals(blocks), tol)
 
@@ -144,6 +148,7 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     corresponding lower bounds; the orthoplex gap is reported only when
     n exceeds the Gerzon limit.
     """
+    _check_tol(tol)
     n, d, c = f.n, f.d, f.c
 
     tight = is_tight_fusion_frame(f, tol)
@@ -215,12 +220,14 @@ def is_etf(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
     an ETF: n = 1 gives False rather than an error.
     """
     _require_vectors(f, "the ETF property")
+    _check_tol(tol)
     return f.n >= 2 and certify(f, tol).is_ectff
 
 
 def is_regular_simplex(f: FusionFrame, tol: float = DEFAULT_TOL) -> bool:
     """True when every pairwise inner product equals Rankin's simplex bound -1/(n-1) within tol."""
     _require_vectors(f, "the regular-simplex property")
+    _check_tol(tol)
     g = _pair_blocks(f.array)[:, 0, 0]
     target = bounds.rankin_simplex_bound(f.n)
     return bool(np.all(np.abs(g.real - target) <= tol) and np.all(np.abs(g.imag) <= tol))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from itertools import chain
@@ -37,7 +36,7 @@ from . import construct as construct_mod
 from . import metrics as metrics_mod
 from . import optimize as optimize_mod
 from .certify import Certificate, certify
-from .linalg import DEFAULT_TOL, FieldTag, NumericalError
+from .linalg import DEFAULT_TOL, FieldTag, NumericalError, _check_tol
 from .metrics import FusionFrame
 
 __all__ = ["frame_from_json_obj", "frame_to_json_obj", "load_frame", "main", "run", "save_frame"]
@@ -242,8 +241,7 @@ def _print_certificate(cert: Certificate, frame: FusionFrame, as_json: bool) -> 
 
 
 def _cmd_certify(args) -> int:
-    if not 0.0 < args.tol < math.inf:
-        raise _UsageError(f"tol: must be finite and positive, got {args.tol!r}")
+    _check_tol(args.tol, "tol:")
     frame = load_frame(args.frame, args.tol)
     if frame.n < 2:
         raise _UsageError(f"n: certification needs n >= 2, got {frame.n}")

@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds
 # orthonormalize is unused here but stays importable: bench/tracing.py
 # wraps grasspack.construct.orthonormalize.
-from .linalg import FieldTag, _orthonormal_columns, _qr_columns, orthonormalize  # noqa: F401
+from .linalg import FieldTag, _check_count, _orthonormal_columns, _qr_columns, orthonormalize  # noqa: F401
 from .metrics import FusionFrame, _require_vectors
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
 class DifferenceSet:
     """An index set of residues mod N, used to select character-table rows.
 
-    Only distinctness and range are validated; whether the set has the
+    Only type, distinctness and range are validated; whether the set has the
     actual difference-set property is the caller's responsibility (the
     harmonic construction is well-defined either way, it just is not
     equiangular without it).
@@ -44,9 +44,13 @@ class DifferenceSet:
     elements: tuple[int, ...]
 
     def __init__(self, modulus: int, elements: Iterable[int]):
+        _check_count(modulus, "modulus")
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
-        elems = tuple(sorted(int(k) for k in elements))
+        elems = tuple(elements)
+        for i, k in enumerate(elems):
+            _check_count(k, f"elements[{i}]")
+        elems = tuple(sorted(map(int, elems)))
         if len(set(elems)) != len(elems):
             raise ValueError("difference-set elements must be distinct")
         if elems and not (0 <= elems[0] and elems[-1] < modulus):
@@ -115,6 +119,7 @@ def tensor_eitff(etf: FusionFrame, c: int) -> FusionFrame:
     responsibility and is not checked here.
     """
     _require_vectors(etf, "the tensor construction")
+    _check_count(c, "c")
     if c < 1:
         raise ValueError(f"c must be positive, got {c}")
     # Entry [j, i c + k, l] is entry i of vector j times I[k, l].
@@ -134,8 +139,10 @@ def random_frame(field: FieldTag, d: int, c: int, n: int, seed: int) -> FusionFr
     reproduces the frame bit-for-bit.
     """
     bounds._check_dc(d, c)
+    _check_count(n, "n")
     if n < 1:
         raise ValueError(f"need n >= 1, got n = {n}")
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     if field is FieldTag.REAL:
         a = rng.standard_normal((n, d, c))

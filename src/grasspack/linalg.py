@@ -17,6 +17,8 @@ across threads.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 
 import numpy as np
 
@@ -45,20 +47,48 @@ class FieldTag(enum.Enum):
     COMPLEX = "C"
 
 
+# The rules of the three kinds of scalar argument a caller passes in: a
+# field, a count and a tolerance. Each failure is a ValueError whose
+# message starts with the name of the argument.
+
+
+def _check_field(field) -> None:
+    """A field is a FieldTag."""
+    if not isinstance(field, FieldTag):
+        raise ValueError(f"field must be a FieldTag, got {field!r}")
+
+
+def _check_count(value, name: str, low: int | None = None) -> None:
+    """A count is an integer that is not a bool; with ``low``, also at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (low is not None and value < low):
+        at_least = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
+def _check_tol(tol, name: str = "tol") -> None:
+    """A tolerance is a real number that is not a bool, finite and positive."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+
+
 def _field_array(
     data, field: FieldTag | None = None, tol: float | None = None
 ) -> tuple[np.ndarray, FieldTag]:
     """``data`` stored under the rule: a new read-only C-contiguous array and its field.
 
     ``data`` is one matrix or an (n, rows, cols) stack. Without ``field``
-    it is over C exactly when ``data`` is complex. Entries must be finite,
+    it is over C exactly when ``data`` is complex; a given ``field`` must
+    be a FieldTag, and a given ``tol`` a tolerance. Entries must be finite,
     and real when tagged REAL; with ``tol``, every matrix must also be
     tall with orthonormal columns, ||A* A - I||_F <= tol. On a stack the
     error names the first failing matrix as ``basis k``, numbered from 1.
     """
+    if tol is not None:
+        _check_tol(tol)
     raw = np.asarray(data)
     if field is None:
         field = FieldTag.COMPLEX if np.iscomplexobj(raw) else FieldTag.REAL
+    _check_field(field)
     rows, cols = raw.shape[-2:]
     if tol is not None and cols > rows:
         raise ValueError(f"basis must be tall: got {rows}x{cols}")
@@ -209,4 +239,5 @@ def orthonormalize(a: Mat, tol: float = DEFAULT_TOL) -> Mat:
     the output deterministic, and matrices that already have orthonormal
     columns are returned unchanged up to round-off.
     """
+    _check_tol(tol)
     return Mat(_orthonormal_columns(a.array, tol), a.field)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import _check_n
+from .bounds import _check_pair
 from .linalg import DEFAULT_TOL, FieldTag, Mat, _field_array, _FieldArray, singular_values
 
 __all__ = [
@@ -224,7 +224,7 @@ def _pair_blocks(x: np.ndarray) -> np.ndarray:
 
     The one all-pairs kernel, so it owns the check that there is a pair.
     """
-    _check_n(x.shape[0])
+    _check_pair(x.shape[0])
     return _gram_blocks(x)[_triu(x.shape[0])]
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,7 +53,7 @@ import numpy as np
 from . import bounds
 from .certify import Certificate, certify
 from .construct import random_frame
-from .linalg import FieldTag, NumericalError, _eigh, _qr_columns, _svals, _svd
+from .linalg import FieldTag, NumericalError, _check_count, _check_tol, _eigh, _qr_columns, _svals, _svd
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.optimize.cross_gramian.
 from .metrics import (  # noqa: F401
@@ -124,14 +123,10 @@ class PackConfig:
 
     def __post_init__(self):
         for name, low in (("iterations", 1), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_count(getattr(self, name), name, low)
         if not isinstance(self.criterion, Criterion):
             raise ValueError(f"criterion must be a Criterion, got {self.criterion!r}")
-        tol = self.tolerance
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+        _check_tol(self.tolerance, "tolerance")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """The package's public surface, its shared preconditions, and the README's Python quick start."""
 
 import importlib
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grasspack as gp
+from grasspack.cli import frame_from_json_obj, frame_to_json_obj
 
 MODULES = ("bounds", "certify", "construct", "linalg", "metrics", "optimize")
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -86,6 +89,8 @@ PLANES = gp.random_frame(R, 4, 2, 3, 0)  # c = 2
         pytest.param(lambda: gp.simplex_bound_gram(1, 2, 1), id="simplex_bound_gram"),
         pytest.param(lambda: gp.eitff_bound(1, 2, 1), id="eitff_bound"),
         pytest.param(lambda: gp.governing_bound(1, 2, 1, R), id="governing_bound"),
+        pytest.param(lambda: gp.orthoplex_bound(1, 2, 1, R), id="orthoplex_bound"),
+        pytest.param(lambda: gp.rankin_orthoplex_bound(1, 2), id="rankin_orthoplex_bound"),
         pytest.param(lambda: gp.bound_report(1, 2, 1, R), id="bound_report"),
     ],
 )
@@ -112,3 +117,91 @@ def test_a_single_vector_is_not_an_etf():
 def test_every_unit_vector_function_rejects_subspaces_alike(call):
     with pytest.raises(ValueError, match=r" is defined for unit vectors \(c = 1\), got c = 2$"):
         call()
+
+
+SIMPLEX = gp.regular_simplex(3)
+SIMPLEX_OBJ = frame_to_json_obj(SIMPLEX)
+
+# Every public function that takes a field, a count or a tolerance, called
+# with that one argument replaced: (id, argument name, call).
+FIELD_ARGS = [
+    ("Mat", "field", lambda v: gp.Mat(np.eye(2), v)),
+    ("FusionFrame.from_arrays", "field", lambda v: gp.FusionFrame.from_arrays(SIMPLEX.array, v)),
+    ("random_frame", "field", lambda v: gp.random_frame(v, 2, 1, 3, 0)),
+    ("gerzon_limit", "field", lambda v: gp.gerzon_limit(2, v)),
+    ("traceless_space_dim", "field", lambda v: gp.traceless_space_dim(2, v)),
+    ("orthoplex_bound", "field", lambda v: gp.orthoplex_bound(4, 2, 1, v)),
+    ("governing_bound", "field", lambda v: gp.governing_bound(4, 2, 1, v)),
+    ("bound_report", "field", lambda v: gp.bound_report(3, 2, 1, v)),
+    ("pack", "field", lambda v: gp.pack(v, 2, 1, 3)),
+]
+COUNT_ARGS = [
+    ("welch_bound-n", "n", lambda v: gp.welch_bound(v, 2)),
+    ("welch_bound-d", "d", lambda v: gp.welch_bound(3, v)),
+    ("rankin_simplex_bound", "n", lambda v: gp.rankin_simplex_bound(v)),
+    ("rankin_orthoplex_bound-n", "n", lambda v: gp.rankin_orthoplex_bound(v, 2)),
+    ("rankin_orthoplex_bound-d", "d", lambda v: gp.rankin_orthoplex_bound(5, v)),
+    ("gerzon_limit", "d", lambda v: gp.gerzon_limit(v, R)),
+    ("traceless_space_dim", "d", lambda v: gp.traceless_space_dim(v, R)),
+    ("regular_simplex", "n", lambda v: gp.regular_simplex(v)),
+    ("orthoplex", "d", lambda v: gp.orthoplex(v)),
+    ("tensor_eitff", "c", lambda v: gp.tensor_eitff(SIMPLEX, v)),
+    ("DifferenceSet-modulus", "modulus", lambda v: gp.DifferenceSet(v, [1, 2, 4])),
+    ("DifferenceSet-elements", "elements[0]", lambda v: gp.DifferenceSet(7, [v, 2, 4])),
+    ("random_frame-seed", "seed", lambda v: gp.random_frame(R, 2, 1, 3, v)),
+]
+for _name, _call in [
+    ("simplex_bound_chordal", gp.simplex_bound_chordal),
+    ("simplex_bound_gram", gp.simplex_bound_gram),
+    ("eitff_bound", gp.eitff_bound),
+    ("orthoplex_bound", lambda n, d, c: gp.orthoplex_bound(n, d, c, R)),
+    ("governing_bound", lambda n, d, c: gp.governing_bound(n, d, c, R)),
+    ("bound_report", lambda n, d, c: gp.bound_report(n, d, c, R)),
+    ("pack", lambda n, d, c: gp.pack(R, d, c, n)),
+    ("random_frame", lambda n, d, c: gp.random_frame(R, d, c, n, 0)),
+]:
+    COUNT_ARGS += [
+        (f"{_name}-n", "n", lambda v, f=_call: f(v, 2, 1)),
+        (f"{_name}-d", "d", lambda v, f=_call: f(3, v, 1)),
+        (f"{_name}-c", "c", lambda v, f=_call: f(3, 2, v)),
+    ]
+TOL_ARGS = [
+    (name, "tol", lambda v, f=getattr(gp, name): f(SIMPLEX, v))
+    for name in (
+        "certify",
+        "is_tight_fusion_frame",
+        "is_equichordal",
+        "is_equiisoclinic",
+        "is_unit_norm_tight_frame",
+        "is_equiangular",
+        "is_etf",
+        "is_regular_simplex",
+    )
+] + [
+    ("FusionFrame.from_arrays", "tol", lambda v: gp.FusionFrame.from_arrays(SIMPLEX.array, None, v)),
+    ("SubspaceBasis", "tol", lambda v: gp.SubspaceBasis(gp.Mat(np.eye(2)), v)),
+    ("orthonormalize", "tol", lambda v: gp.orthonormalize(gp.Mat(np.eye(2)), v)),
+    ("frame_from_json_obj", "tol", lambda v: frame_from_json_obj(SIMPLEX_OBJ, v)),
+]
+RULES = {"field": "a FieldTag", "count": r"an integer( >= \d+)?", "tol": "finite and positive"}
+BAD = ["R", 2.5, True, math.nan, "1e-8"]
+
+
+def _bad_argument_cases():
+    for kind, args in (("field", FIELD_ARGS), ("count", COUNT_ARGS), ("tol", TOL_ARGS)):
+        for ident, name, call in args:
+            for value in BAD:
+                if kind == "tol" and value == 2.5:
+                    continue  # a valid tolerance
+                yield pytest.param(call, name, kind, value, id=f"{kind}-{ident}-{value!r}")
+
+
+@pytest.mark.parametrize("call, name, kind, value", list(_bad_argument_cases()))
+def test_every_field_count_and_tolerance_is_checked_alike(call, name, kind, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {RULES[kind]}, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_none_still_infers_the_field():
+    assert gp.Mat(np.eye(2), None).field is R
+    assert gp.FusionFrame.from_arrays(1j * SIMPLEX.array, None).field is gp.FieldTag.COMPLEX

@@ -230,6 +230,11 @@ class TestBoundReport:
         assert rep.gerzon == 9
         assert "orthoplex" not in rep.notes
 
+    def test_vector_report_below_d_marks_welch_na(self):
+        rep = bound_report(2, 3, 1, R)
+        assert rep.welch is None
+        assert rep.notes["welch"] == "requires n >= d (n = 2 < d = 3)"
+
     def test_subspace_report_marks_welch_na(self):
         rep = bound_report(3, 4, 2, R)
         assert rep.welch is None

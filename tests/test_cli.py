@@ -295,6 +295,17 @@ class TestPackCommand:
         frame = load_frame(path)
         assert (frame.n, frame.d, frame.c) == (3, 2, 1)
 
+    def test_pack_human_output_names_the_written_file(self, tmp_path, capsys):
+        path = str(tmp_path / "packed.json")
+        code, out, _ = run_capture(
+            capsys, "pack", "--field", "R", "--d", "2", "--c", "1", "--n", "3", "--restarts", "1", "-o", path
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("criterion: chordal")
+        assert lines[-1] == f"frame written: {path}"
+        assert load_frame(path).n == 3
+
     def test_pack_spectral_criterion(self, capsys):
         code, out, _ = run_capture(
             capsys,

@@ -125,6 +125,8 @@ class TestHarmonicEtf:
             harmonic_etf(DifferenceSet(3, [0, 1, 2]))
 
     def test_difference_set_validation(self):
+        with pytest.raises(ValueError, match="^modulus must be positive, got 0$"):
+            DifferenceSet(0, [])
         with pytest.raises(ValueError, match="distinct"):
             DifferenceSet(7, [1, 1, 2])
         with pytest.raises(ValueError, match="residues"):
@@ -209,3 +211,5 @@ class TestRandomFrame:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             random_frame(R, 2, 3, 2, 0)
+        with pytest.raises(ValueError, match="^need n >= 1, got n = 0$"):
+            random_frame(R, 2, 1, 0, 0)

@@ -7,6 +7,7 @@ from grasspack.construct import random_frame, regular_simplex, tensor_eitff
 from grasspack.linalg import FieldTag, Mat
 from grasspack.metrics import (
     FusionFrame,
+    PrincipalAngles,
     SubspaceBasis,
     chordal_distance_sq,
     coherence,
@@ -52,6 +53,10 @@ class TestTypes:
     def test_frame_rejects_mixed_shapes(self):
         with pytest.raises(ValueError, match="basis 2"):
             FusionFrame([span_e(2, [0]), span_e(3, [0])])
+
+    def test_frame_needs_a_subspace(self):
+        with pytest.raises(ValueError, match="^frame needs at least one subspace$"):
+            FusionFrame([])
 
     def test_frame_rejects_mixed_fields(self):
         with pytest.raises(ValueError, match="basis 2"):
@@ -248,6 +253,20 @@ class TestFusionFrameOperator:
 
 
 class TestPrincipalAngles:
+    @pytest.mark.parametrize(
+        "thetas, message",
+        [
+            pytest.param([], "form a non-empty 1-d", id="empty"),
+            pytest.param([[0.1]], "form a non-empty 1-d", id="2-d"),
+            pytest.param([-0.1], r"lie in \[0, pi/2\]", id="negative"),
+            pytest.param([1.6], r"lie in \[0, pi/2\]", id="above-pi/2"),
+            pytest.param([0.5, 0.1], "be nondecreasing", id="decreasing"),
+        ],
+    )
+    def test_rejects_invalid_angles(self, thetas, message):
+        with pytest.raises(ValueError, match=f"^principal angles must {message}"):
+            PrincipalAngles(thetas)
+
     def test_identical_subspaces(self):
         b = span_e(3, [0, 1])
         assert np.allclose(principal_angles(b, b).thetas, 0.0, atol=1e-7)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from grasspack import construct
+from grasspack import construct, optimize
 from grasspack.bounds import eitff_bound, governing_bound, simplex_bound_gram
 from grasspack.construct import DifferenceSet, harmonic_etf, random_frame, regular_simplex, tensor_eitff
 from grasspack.linalg import FieldTag, NumericalError
@@ -14,6 +14,7 @@ from grasspack.optimize import (
     PackConfig,
     _descend,
     POLISH_CUT,
+    POLISH_MARGIN,
     POLISH_SWEEPS,
     POLISH_WINDOW,
     _gram_to_frame,
@@ -486,6 +487,21 @@ class TestPackPolish:
         assert result.restart_index == restart_index
         assert result.iterations_used == used
         assert result.frame.array.tobytes() == mats.tobytes()
+
+    def test_below_round_off_the_polish_certifies_at_the_tolerance(self, monkeypatch):
+        # The margin POLISH_MARGIN * 1e-14 is below round-off, so the polish
+        # runs until it is out of reach and then needs the flag at 1e-14 itself.
+        config = PackConfig(tolerance=1e-14)
+        tols = []
+        real = optimize.certify
+        monkeypatch.setattr("grasspack.optimize.certify", lambda f, tol: tols.append(tol) or real(f, tol))
+        polishes = _count_polishes(monkeypatch)
+        result = pack(R, 4, 2, 3, config)
+        assert result.certificate.is_ectff
+        assert len(polishes) == 1
+        # Sweeps at the margin, the polish's check at the tolerance, then the result's certificate.
+        assert set(tols[:-2]) == {POLISH_MARGIN * config.tolerance}
+        assert tols[-2:] == [config.tolerance, config.tolerance]
 
     def test_polish_runs_the_stage_after_its_descent(self):
         f = random_frame(R, 4, 2, 3, 2)
