@@ -49,7 +49,10 @@ class FieldTag(enum.Enum):
 
 # The rules of the three kinds of scalar argument a caller passes in: a
 # field, a count and a tolerance. Each failure is a ValueError whose
-# message starts with the name of the argument.
+# message starts with the name of the argument. Counts and tolerances are
+# tested for the exact type int or float first: isinstance against a
+# numbers ABC costs about ten times as much, and certify checks counts on
+# every call.
 
 
 def _check_field(field) -> None:
@@ -60,14 +63,16 @@ def _check_field(field) -> None:
 
 def _check_count(value, name: str, low: int | None = None) -> None:
     """A count is an integer that is not a bool; with ``low``, also at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (low is not None and value < low):
+    integer = type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+    if not integer or (low is not None and value < low):
         at_least = "" if low is None else f" >= {low}"
         raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
 
 
 def _check_tol(tol, name: str = "tol") -> None:
     """A tolerance is a real number that is not a bool, finite and positive."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+    real = type(tol) is float or (not isinstance(tol, bool) and isinstance(tol, numbers.Real))
+    if not real or not 0.0 < tol < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {tol!r}")
 
 
