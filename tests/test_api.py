@@ -200,8 +200,3 @@ def _bad_argument_cases():
 def test_every_field_count_and_tolerance_is_checked_alike(call, name, kind, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {RULES[kind]}, got {re.escape(repr(value))}$"):
         call(value)
-
-
-def test_none_still_infers_the_field():
-    assert gp.Mat(np.eye(2), None).field is R
-    assert gp.FusionFrame.from_arrays(1j * SIMPLEX.array, None).field is gp.FieldTag.COMPLEX
