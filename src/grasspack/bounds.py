@@ -30,10 +30,8 @@ __all__ = [
 
 
 def _check_dc(d: int, c: int) -> None:
-    _check_count(d, "d")
+    _check_count(d, "d", 1)
     _check_count(c, "c")
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
     if not 1 <= c <= d:
         raise ValueError(f"need 1 <= c <= d, got c = {c}, d = {d}")
 
@@ -164,6 +162,8 @@ def governing_bound(n: int, d: int, c: int, field: FieldTag, spectral: bool = Fa
     Sloane, Exp. Math. 1996). Every overlap is at least 0 (``"trivial"``),
     which governs when nc < d. Ties go to the bound named first here.
     """
+    if type(spectral) is not bool:
+        raise ValueError(f"spectral must be a bool, got {spectral!r}")
     if spectral:
         bound, name = eitff_bound(n, d, c), "eitff"
     else:

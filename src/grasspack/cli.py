@@ -36,7 +36,7 @@ from . import construct as construct_mod
 from . import metrics as metrics_mod
 from . import optimize as optimize_mod
 from .certify import Certificate, certify
-from .linalg import DEFAULT_TOL, FieldTag, NumericalError, _check_tol
+from .linalg import DEFAULT_TOL, FieldTag, NumericalError, _check_count, _check_tol
 from .metrics import FusionFrame
 
 __all__ = ["frame_from_json_obj", "frame_to_json_obj", "load_frame", "main", "run", "save_frame"]
@@ -115,12 +115,9 @@ def frame_from_json_obj(obj, tol: float = DEFAULT_TOL) -> FusionFrame:
     for key in ("field", "d", "c", "n", "bases"):
         if key not in obj:
             raise _UsageError(f"{key}: missing")
-    field = _parse_field(obj["field"]) if isinstance(obj["field"], str) else None
-    if field is None:
-        raise _UsageError(f"field: must be 'R' or 'C', got {obj['field']!r}")
+    field = _parse_field(obj["field"])
     for key in ("d", "c", "n"):
-        if isinstance(obj[key], bool) or not isinstance(obj[key], int) or obj[key] < 1:
-            raise _UsageError(f"{key}: must be a positive integer, got {obj[key]!r}")
+        _check_count(obj[key], f"{key}:", 1)
     d, c, n = obj["d"], obj["c"], obj["n"]
     if c > d:
         raise _UsageError(f"c: subspace dimension {c} exceeds ambient dimension {d}")

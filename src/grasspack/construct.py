@@ -44,9 +44,7 @@ class DifferenceSet:
     elements: tuple[int, ...]
 
     def __init__(self, modulus: int, elements: Iterable[int]):
-        _check_count(modulus, "modulus")
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
+        _check_count(modulus, "modulus", 1)
         elems = tuple(elements)
         for i, k in enumerate(elems):
             _check_count(k, f"elements[{i}]")
@@ -119,9 +117,7 @@ def tensor_eitff(etf: FusionFrame, c: int) -> FusionFrame:
     responsibility and is not checked here.
     """
     _require_vectors(etf, "the tensor construction")
-    _check_count(c, "c")
-    if c < 1:
-        raise ValueError(f"c must be positive, got {c}")
+    _check_count(c, "c", 1)
     # Entry [j, i c + k, l] is entry i of vector j times I[k, l].
     n, e, _ = etf.array.shape
     blocks = etf.array[:, :, :, None] * np.eye(c)
@@ -139,9 +135,7 @@ def random_frame(field: FieldTag, d: int, c: int, n: int, seed: int) -> FusionFr
     reproduces the frame bit-for-bit.
     """
     bounds._check_dc(d, c)
-    _check_count(n, "n")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n = {n}")
+    _check_count(n, "n", 1)
     _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     if field is FieldTag.REAL:

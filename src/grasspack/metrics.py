@@ -12,7 +12,7 @@ each subspace.
 
 Frame-wide quantities over all pairs are read off one product: the
 fusion Gram matrix X* X of the frame's array. The private helpers that
-build it are shared with ``certify`` and ``optimize``.
+build it, lay it out and factor it are shared with ``certify`` and ``optimize``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bounds import _check_pair
-from .linalg import DEFAULT_TOL, FieldTag, Mat, _field_array, _FieldArray, singular_values
+from .linalg import DEFAULT_TOL, FieldTag, Mat, _eigh, _field_array, _FieldArray, _qr_columns, singular_values
 
 __all__ = [
     "FusionFrame",
@@ -233,19 +233,43 @@ def _frobenius_sq(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("...kl,...kl->...", blocks.conj(), blocks).real
 
 
+def _block_matrix(pairs: np.ndarray, n: int, identity: bool) -> np.ndarray:
+    """The self-adjoint nc x nc block matrix of the (P, c, c) stack ``pairs``.
+
+    Block (j, j') is the pair block of j < j' in FusionFrame.pairs()
+    order, block (j', j) its adjoint, and each diagonal block I if
+    ``identity``, else 0 and never written.
+    """
+    c = pairs.shape[-1]
+    rows, cols = _triu(n)
+    blocks = np.zeros((n, n, c, c), dtype=pairs.dtype)
+    blocks[rows, cols] = pairs
+    blocks[cols, rows] = pairs.conj().swapaxes(-2, -1)
+    if identity:
+        blocks[range(n), range(n)] = np.eye(c)
+    return blocks.transpose(0, 2, 1, 3).reshape(n * c, n * c)
+
+
+def _gram_to_frame(pairs: np.ndarray, n: int, d: int) -> np.ndarray:
+    """An (n, d, c) stack of orthonormal bases from the pair blocks of a fusion Gram matrix.
+
+    The top d eigenvectors V (nc x d) span the nearest rank-d projection,
+    and one stacked QR orthonormalizes the n d x c blocks of V*. A tight
+    fusion frame's Gram matrix, (nc/d) times a rank-d projection, gives
+    back a frame with that same Gram matrix.
+    """
+    _, vecs = _eigh(_block_matrix(pairs, n, True))
+    return _qr_columns(vecs[:, -d:].conj().T.reshape(d, n, -1).transpose(1, 0, 2))
+
+
 def fusion_gram(f: FusionFrame) -> Mat:
     """Block Gram matrix of all nc basis vectors, nc x nc.
 
     Block (j, j') is the cross-Gramian of bases j and j'; diagonal
     blocks are exactly the identity and the lower triangle mirrors the
-    upper, so the result is self-adjoint by construction.
+    upper, so the result is self-adjoint by construction (I_c when n = 1).
     """
-    n = f.n
-    blocks = _gram_blocks(f.array)
-    rows, cols = _triu(n)
-    blocks[cols, rows] = blocks[rows, cols].conj().swapaxes(-2, -1)
-    blocks[range(n), range(n)] = np.eye(f.c)
-    return Mat(blocks.transpose(0, 2, 1, 3).reshape(n * f.c, n * f.c), f.field)
+    return Mat(_block_matrix(_gram_blocks(f.array)[_triu(f.n)], f.n, True), f.field)
 
 
 def fusion_frame_operator(f: FusionFrame) -> Mat:

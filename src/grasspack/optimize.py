@@ -53,16 +53,16 @@ import numpy as np
 from . import bounds
 from .certify import Certificate, certify
 from .construct import random_frame
-from .linalg import FieldTag, NumericalError, _check_count, _check_tol, _eigh, _qr_columns, _svals, _svd
+from .linalg import FieldTag, NumericalError, _check_count, _check_tol, _qr_columns, _svals, _svd
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.optimize.cross_gramian.
 from .metrics import (  # noqa: F401
     FusionFrame,
+    _block_matrix,
     _flat,
     _frobenius_sq,
-    _gram_blocks,
+    _gram_to_frame,
     _pair_blocks,
-    _triu,
     cross_gramian,
 )
 
@@ -113,6 +113,12 @@ class Criterion(enum.Enum):
     SPECTRAL_OVERLAP = "spectral"  # max ||G||_2^2 over pairs
 
 
+def _check_criterion(criterion) -> None:
+    """A criterion is a Criterion, by exact type: every objective call checks it."""
+    if type(criterion) is not Criterion:
+        raise ValueError(f"criterion must be a Criterion, got {criterion!r}")
+
+
 @dataclass(frozen=True)
 class PackConfig:
     criterion: Criterion = Criterion.CHORDAL_OVERLAP
@@ -124,8 +130,7 @@ class PackConfig:
     def __post_init__(self):
         for name, low in (("iterations", 1), ("restarts", 1), ("seed", 0)):
             _check_count(getattr(self, name), name, low)
-        if not isinstance(self.criterion, Criterion):
-            raise ValueError(f"criterion must be a Criterion, got {self.criterion!r}")
+        _check_criterion(self.criterion)
         _check_tol(self.tolerance, "tolerance")
 
 
@@ -177,6 +182,7 @@ def smoothed_objective(
     usable in finite-difference checks. The log-sum-exp is shifted by
     the running max for overflow safety.
     """
+    _check_criterion(criterion)
     # Overflow to inf on pathological inputs is deliberate; the descent
     # loop detects it and rejects the step (or raises NumericalError).
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,6 +209,7 @@ def smoothed_objective_and_gradient(
     then the sum over j of X_j H_jj': one product of the d x nc matrix of
     all bases with the nc x nc block matrix H.
     """
+    _check_criterion(criterion)
     x = np.asarray(mats)
     n, d, c = x.shape
     blocks = _pair_blocks(x)
@@ -214,11 +221,7 @@ def smoothed_objective_and_gradient(
         with np.errstate(divide="ignore"):
             coef = np.where(t > 0.0, 2.0 * weights * t ** (1.0 / SPECTRAL_SMOOTHING_POWER - 1.0), 0.0)
         h = coef[:, None, None] * (blocks @ m_pm1)
-    rows, cols = _triu(n)
-    full = np.zeros((n, n, c, c), dtype=h.dtype)
-    full[rows, cols] = h
-    full[cols, rows] = h.conj().swapaxes(-2, -1)
-    grad = _flat(x) @ full.transpose(0, 2, 1, 3).reshape(n * c, n * c)
+    grad = _flat(x) @ _block_matrix(h, n, False)
     return objective, grad.reshape(d, n, c).transpose(1, 0, 2)
 
 
@@ -232,6 +235,7 @@ def _worst_overlap(x: np.ndarray, criterion: Criterion) -> float:
 
 def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:
     """The true (unsmoothed) criterion value: the worst pairwise overlap."""
+    _check_criterion(criterion)
     return _worst_overlap(f.array, criterion)
 
 
@@ -283,42 +287,22 @@ def _descend(
     return mats, used, False
 
 
-def _structural_projection(gram: np.ndarray, governing: tuple[float, str]) -> np.ndarray:
-    """Nearest fusion Gram matrix in the structural set of a "simplex" or "eitff" bound.
+def _structural_projection(pairs: np.ndarray, governing: tuple[float, str]) -> np.ndarray:
+    """Nearest pair blocks in the structural set of a "simplex" or "eitff" bound.
 
-    ``gram`` is an (n, n, c, c) block matrix, projected block by block:
-    diagonal blocks become I, and each off-diagonal block G becomes
-    sqrt(bound) G/||G||_F for "simplex" (every squared Frobenius overlap
-    at the bound, as in an ECTFF; a zero block stays zero) or
-    sqrt(bound) U V* from G = U S V* for "eitff" (sigma times the polar
-    factor, as in an EITFF).
+    Each block G of the (P, c, c) stack ``pairs``, the blocks above a
+    fusion Gram matrix's identity diagonal, becomes sqrt(bound) G/||G||_F
+    for "simplex" (each squared Frobenius overlap at the bound, as in an
+    ECTFF; a zero block stays zero) or sqrt(bound) U V* from G = U S V*
+    for "eitff" (sigma times the polar factor, as in an EITFF).
     """
     value, name = governing
-    n, _, c, _ = gram.shape
     if name == "simplex":
-        norms = np.sqrt(_frobenius_sq(gram))
+        norms = np.sqrt(_frobenius_sq(pairs))
         scale = np.divide(math.sqrt(value), norms, out=np.zeros_like(norms), where=norms > 0.0)
-        out = scale[..., None, None] * gram
-    else:
-        u, _, vh = _svd(gram)
-        out = math.sqrt(value) * (u @ vh)
-    out[np.arange(n), np.arange(n)] = np.eye(c)
-    return out
-
-
-def _gram_to_frame(gram: np.ndarray, d: int) -> np.ndarray:
-    """An (n, d, c) stack of orthonormal bases from a self-adjoint (n, n, c, c) Gram matrix.
-
-    The top d eigenvectors V (nc x d) of ``gram`` span the nearest rank-d
-    projection; the d x nc matrix V* is split into its n d x c blocks,
-    and each is orthonormalized by one stacked QR. A tight fusion frame's
-    Gram matrix, (nc/d) times a rank-d projection, gives back a frame
-    with that same Gram matrix.
-    """
-    n, _, c, _ = gram.shape
-    _, vecs = _eigh(gram.transpose(0, 2, 1, 3).reshape(n * c, n * c))
-    top = vecs[:, -d:].conj().T
-    return _qr_columns(top.reshape(d, n, c).transpose(1, 0, 2))
+        return scale[:, None, None] * pairs
+    u, _, vh = _svd(pairs)
+    return math.sqrt(value) * (u @ vh)
 
 
 def _polish_stage(
@@ -353,7 +337,7 @@ def _polish_stage(
             if not getattr(certify(polished, config.tolerance), flag):
                 return None
             break
-        mats = _gram_to_frame(_structural_projection(_gram_blocks(polished.array), governing), frame.d)
+        mats = _gram_to_frame(_structural_projection(_pair_blocks(polished.array), governing), frame.n, frame.d)
         polished = FusionFrame.from_arrays(mats, frame.field)
     value = worst_overlap(polished, config.criterion)
     return (polished, value) if value <= achieved else None

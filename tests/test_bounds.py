@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,11 @@ class TestGoverningBound:
             governing_bound(1, 2, 1, R)
         with pytest.raises(ValueError):
             governing_bound(3, 2, 3, R)
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_spectral_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match=f"^spectral must be a bool, got {re.escape(repr(value))}$"):
+            governing_bound(3, 4, 2, R, value)
 
 
 class TestBoundReport:

@@ -191,7 +191,7 @@ class TestConstructAndCertify:
         etf = str(tmp_path / "etf.json")
         run_capture(capsys, "construct", "simplex", "--n", "3", "-o", etf)
         code, out, err = run_capture(capsys, "construct", "tensor", etf, "--c", c)
-        assert (code, out, err) == (1, "", f"error: c must be positive, got {c}\n")
+        assert (code, out, err) == (1, "", f"error: c must be an integer >= 1, got {c}\n")
 
     def test_harmonic_and_orthoplex(self, tmp_path, capsys):
         h = str(tmp_path / "h.json")
@@ -456,7 +456,7 @@ class TestFrameFileRejections:
     @pytest.mark.parametrize("value", [0, -1, True, 2.5])
     def test_dimension_not_a_positive_integer(self, tmp_path, capsys, key, value):
         err = _rejected(capsys, _write_simplex_with(tmp_path, **{key: value}))
-        assert err == f"error: {key}: must be a positive integer, got {value!r}\n"
+        assert err == f"error: {key}: must be an integer >= 1, got {value!r}\n"
 
     def test_c_exceeds_d(self, tmp_path, capsys):
         err = _rejected(capsys, _write_simplex_with(tmp_path, c=3))

@@ -9,6 +9,7 @@ from grasspack.metrics import (
     FusionFrame,
     PrincipalAngles,
     SubspaceBasis,
+    _block_matrix,
     chordal_distance_sq,
     coherence,
     cross_gramian,
@@ -230,6 +231,31 @@ class TestFusionGram:
         f = random_frame(C, 4, 2, 3, 3)
         g = fusion_gram(f).array
         assert np.array_equal(g, g.conj().T)
+
+    @pytest.mark.parametrize("field", [R, C], ids=["R", "C"])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_single_subspace_is_the_identity(self, field, c):
+        g = fusion_gram(random_frame(field, 4, c, 1, 0))
+        assert g.field is field
+        assert np.array_equal(g.array, np.eye(c))
+
+
+@pytest.mark.parametrize("field", [R, C], ids=["R", "C"])
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("identity", [True, False])
+def test_block_matrix_matches_a_pair_loop(rng, field, c, identity):
+    n = 4
+    pairs = np.stack([gaussian_matrix(c, c, field, rng) for _ in range(n * (n - 1) // 2)])
+    ref = np.zeros((n * c, n * c), dtype=pairs.dtype)
+    pair_list = [(j, jj) for j in range(n) for jj in range(j + 1, n)]
+    for (j, jj), g in zip(pair_list, pairs):
+        ref[j * c : (j + 1) * c, jj * c : (jj + 1) * c] = g
+        ref[jj * c : (jj + 1) * c, j * c : (j + 1) * c] = g.conj().T
+    if identity:
+        ref += np.eye(n * c)
+    out = _block_matrix(pairs, n, identity)
+    assert out.dtype == pairs.dtype
+    assert np.array_equal(out, ref)
 
 
 class TestFusionFrameOperator:

@@ -8,7 +8,7 @@ from grasspack import construct, optimize
 from grasspack.bounds import eitff_bound, governing_bound, simplex_bound_gram
 from grasspack.construct import DifferenceSet, harmonic_etf, random_frame, regular_simplex, tensor_eitff
 from grasspack.linalg import FieldTag, NumericalError
-from grasspack.metrics import FusionFrame, _gram_blocks
+from grasspack.metrics import FusionFrame, _gram_blocks, _gram_to_frame, _pair_blocks
 from grasspack.optimize import (
     Criterion,
     PackConfig,
@@ -17,7 +17,6 @@ from grasspack.optimize import (
     POLISH_MARGIN,
     POLISH_SWEEPS,
     POLISH_WINDOW,
-    _gram_to_frame,
     _out_of_reach,
     _polish_stage,
     _structural_projection,
@@ -82,6 +81,21 @@ class TestConfig:
     def test_rejects_non_criterion(self, value):
         with pytest.raises(ValueError, match=f"^criterion must be a Criterion, got {re.escape(repr(value))}$"):
             PackConfig(criterion=value)
+
+    @pytest.mark.parametrize("value", ["chordal", None, 1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, v: worst_overlap(f, v),
+            lambda f, v: smoothed_objective(f.array, v),
+            lambda f, v: smoothed_objective_and_gradient(f.array, v),
+        ],
+        ids=["worst_overlap", "smoothed_objective", "smoothed_objective_and_gradient"],
+    )
+    def test_objectives_reject_non_criterion(self, call, value):
+        f = random_frame(R, 4, 2, 3, 0)
+        with pytest.raises(ValueError, match=f"^criterion must be a Criterion, got {re.escape(repr(value))}$"):
+            call(f, value)
 
     def test_accepts_numpy_integers(self):
         config = PackConfig(iterations=np.int64(3), restarts=np.int32(2), seed=np.uint64(2**63))
@@ -210,7 +224,7 @@ class TestPack:
     @pytest.mark.parametrize(
         "d, c, n, message",
         [
-            (0, 1, 3, "d must be positive, got 0"),
+            (0, 1, 3, "d must be an integer >= 1, got 0"),
             (2, 3, 3, "need 1 <= c <= d, got c = 3, d = 2"),
             (2, 0, 3, "need 1 <= c <= d, got c = 0, d = 2"),
             (2, 1, 1, "need n >= 2, got n = 1"),
@@ -361,13 +375,13 @@ class TestGramRoutines:
         f = AT_BOUND[key]
         governing = _governing(f, name)
         assert governing[1] == name
-        gram = _gram_blocks(f.array)
-        assert np.abs(_structural_projection(gram, governing) - gram).max() <= 1e-12
+        pairs = _pair_blocks(f.array)
+        assert np.abs(_structural_projection(pairs, governing) - pairs).max() <= 1e-12
 
     @pytest.mark.parametrize("key", list(AT_BOUND))
     def test_gram_to_frame_round_trip(self, key):
         f = AT_BOUND[key]
-        mats = _gram_to_frame(_gram_blocks(f.array), f.d)
+        mats = _gram_to_frame(_pair_blocks(f.array), f.n, f.d)
         assert mats.shape == f.array.shape and mats.dtype == f.array.dtype
         assert np.abs(_gram_blocks(mats) - _gram_blocks(f.array)).max() <= 1e-12
 
@@ -376,18 +390,18 @@ class TestGramRoutines:
 
     def test_simplex_projection_rescales_off_diagonal_blocks(self):
         f = random_frame(R, 4, 2, 3, 1)
-        out = _structural_projection(_gram_blocks(f.array), (0.5, "simplex"))
-        for j in range(3):
-            assert np.array_equal(out[j, j], np.eye(2))
-            for jj in range(3):
-                if jj != j:
-                    assert np.linalg.norm(out[j, jj]) ** 2 == pytest.approx(0.5, abs=1e-14)
+        out = _structural_projection(_pair_blocks(f.array), (0.5, "simplex"))
+        assert out.shape == (3, 2, 2)
+        for g in out:
+            assert np.linalg.norm(g) ** 2 == pytest.approx(0.5, abs=1e-14)
 
     def test_eitff_projection_gives_scaled_unitaries(self):
-        f = random_frame(C, 4, 2, 3, 1)
-        out = _structural_projection(_gram_blocks(f.array), (0.25, "eitff"))
-        g = out[0, 1]
-        assert np.abs(g.conj().T @ g - 0.25 * np.eye(2)).max() <= 1e-14
+        for field in (R, C):
+            pairs = _pair_blocks(random_frame(field, 6, 3, 5, 1).array)
+            out = _structural_projection(pairs, (0.25, "eitff"))
+            assert out.shape == pairs.shape == (10, 3, 3)
+            for g in out:
+                assert np.abs(g.conj().T @ g - 0.25 * np.eye(3)).max() <= 1e-14
 
 
 class TestPolishStage:
@@ -416,6 +430,9 @@ class TestPolishStage:
         halving = [1e-3 * 0.5**k for k in range(POLISH_WINDOW + 1)]
         assert not _out_of_reach(halving, 1e-10)
         assert not _out_of_reach(stalled[:POLISH_WINDOW], 1e-10)
+        # A residual of 0 has no rate: it is never out of reach.
+        assert not _out_of_reach(stalled[:POLISH_WINDOW] + [0.0], 1e-10)
+        assert not _out_of_reach([0.0] + stalled[:POLISH_WINDOW], 1e-10)
         # Near the cap even a fast rate runs out of sweeps.
         assert _out_of_reach([1.0] * (POLISH_SWEEPS - POLISH_WINDOW) + halving, 1e-10)
 
