@@ -246,7 +246,7 @@ def _block_matrix(pairs: np.ndarray, n: int, identity: bool) -> np.ndarray:
     blocks[rows, cols] = pairs
     blocks[cols, rows] = pairs.conj().swapaxes(-2, -1)
     if identity:
-        blocks[range(n), range(n)] = np.eye(c)
+        blocks.reshape(n * n, c, c)[:: n + 1] = np.eye(c)
     return blocks.transpose(0, 2, 1, 3).reshape(n * c, n * c)
 
 

@@ -23,14 +23,13 @@ frame tight only slowly, so it often stops just short of a certificate.
 When the governing lower bound (``bounds.governing_bound``) is the
 simplex bound (``"simplex"``) or the EITFF bound (``"eitff"``), each
 restart's descent therefore stops once its true worst overlap is within
-``POLISH_CUT`` of the bound and hands the frame to a polish stage in the
-Gram domain: an
-alternating projection between the fusion Gram matrices of that bound's
-optimal structure (ECTFF or EITFF) and those of tight fusion frames. The
-polished frame is kept only if its certificate sets the ECTFF or EITFF
-flag and its true worst overlap is no worse than the descent's;
-otherwise the descent resumes on the rest of its iterations and hands
-over again at a tenth of the cut. Past the Gerzon limit (``"orthoplex"``)
+``POLISH_CUT`` of the bound and hands the frame, once, to a polish stage
+in the Gram domain: an alternating projection between the fusion Gram
+matrices of that bound's optimal structure (ECTFF or EITFF) and those of
+tight fusion frames. The polished frame is kept only if its certificate
+sets the ECTFF or EITFF flag and its true worst overlap is no worse than
+the descent's; otherwise the descent resumes, with no target, on the
+rest of its iterations. Past the Gerzon limit (``"orthoplex"``)
 and when nc < d (``"trivial"``) there is no polish. Each restart runs to
 its own stop. Once one ends within the tolerance of the governing bound,
 no later restart could beat it by more than that tolerance, so the
@@ -89,20 +88,17 @@ STEP_SIZE = 0.05
 _MAX_HALVINGS = 20
 
 # The polish stage near a "simplex" or "eitff" bound: a descent hands over
-# once its true worst overlap is within POLISH_CUT of the bound (each
-# failed polish divides the cut by 10). The polish stops once its
-# certificate holds at POLISH_MARGIN times the tolerance, after at most
-# POLISH_SWEEPS sweeps, or once its rate over the last POLISH_WINDOW
-# sweeps could not reach that by the cap.
+# once its true worst overlap is within POLISH_CUT of the bound. The
+# polish stops once its certificate holds at POLISH_MARGIN times the
+# tolerance, or after POLISH_SWEEPS sweeps.
 POLISH_CUT = 1e-2
 POLISH_SWEEPS = 200
 POLISH_MARGIN = 0.01
-POLISH_WINDOW = 10
 # What the polish reads off the certificate under each bound it runs for:
-# the flag of the optimal structure, the gap and the deviation from it.
+# the flag of the optimal structure and the gap to it.
 _STRUCTURES = {
-    "simplex": ("is_ectff", "simplex_gap", "beta_deviation"),
-    "eitff": ("is_eitff", "eitff_gap", "sigma_deviation"),
+    "simplex": ("is_ectff", "simplex_gap"),
+    "eitff": ("is_eitff", "eitff_gap"),
 }
 
 
@@ -318,43 +314,24 @@ def _polish_stage(
     Stops once the certificate at POLISH_MARGIN * tolerance sets the flag
     of the bound (ECTFF or EITFF) with a gap of at most that much, so the
     result holds its certificate with margin. Otherwise it stops after
-    POLISH_SWEEPS sweeps, or earlier once its residual (the tightness
-    residual or the deviation from equal overlaps, whichever is larger)
-    is out of reach (:func:`_out_of_reach`), and then needs the flag at
-    the tolerance itself. Returns the polished frame and its true worst
-    overlap when the flag is set and that overlap is at most
-    ``achieved``; otherwise None.
+    POLISH_SWEEPS sweeps and then needs the flag at the tolerance itself.
+    Returns the polished frame and its true worst overlap when the flag
+    is set and that overlap is at most ``achieved``; otherwise None.
     """
-    flag, gap_field, deviation_field = _STRUCTURES[governing[1]]
+    flag, gap_field = _STRUCTURES[governing[1]]
     strict = POLISH_MARGIN * config.tolerance
-    polished, residuals = frame, []
-    while True:
+    polished = frame
+    for _ in range(POLISH_SWEEPS):
         cert = certify(polished, strict)
         if getattr(cert, flag) and getattr(cert, gap_field) <= strict:
             break
-        residuals.append(max(cert.tight_residual, getattr(cert, deviation_field)))
-        if len(residuals) > POLISH_SWEEPS or _out_of_reach(residuals, strict):
-            if not getattr(certify(polished, config.tolerance), flag):
-                return None
-            break
         mats = _gram_to_frame(_structural_projection(_pair_blocks(polished.array), governing), frame.n, frame.d)
         polished = FusionFrame.from_arrays(mats, frame.field)
+    else:
+        if not getattr(certify(polished, config.tolerance), flag):
+            return None
     value = worst_overlap(polished, config.criterion)
     return (polished, value) if value <= achieved else None
-
-
-def _out_of_reach(residuals: list[float], strict: float) -> bool:
-    """Whether a polish whose residual after sweep k is ``residuals[k]``
-    would still be above ``strict`` at the sweep cap, shrinking at its
-    geometric rate over the last POLISH_WINDOW sweeps."""
-    sweep = len(residuals) - 1
-    if sweep < POLISH_WINDOW:
-        return False
-    now, then = residuals[-1], residuals[-1 - POLISH_WINDOW]
-    if not (now > 0.0 and then > 0.0):
-        return False
-    log_rate = math.log(now / then) / POLISH_WINDOW
-    return math.log(now / strict) + log_rate * (POLISH_SWEEPS - sweep) > 0.0
 
 
 def _restart(
@@ -363,24 +340,22 @@ def _restart(
     """One restart from the (n, d, c) stack ``mats``: its frame, true worst overlap and descent iterations.
 
     Near a "simplex" or "eitff" bound the descent stops once the true
-    worst overlap is within the cut (POLISH_CUT) of the bound and hands
-    the frame to the polish stage. If the polish fails, the descent
-    resumes on the rest of its iterations with the cut divided by 10.
+    worst overlap is within POLISH_CUT of the bound and hands the frame
+    to the polish stage. If the polish fails, the descent resumes on the
+    rest of its iterations with no target.
     """
     value, name = governing
-    cut = POLISH_CUT if name in _STRUCTURES else None
-    used = 0
-    while True:
-        mats, steps, reached = _descend(mats, config, config.iterations - used, None if cut is None else value + cut)
-        used += steps
+    target = value + POLISH_CUT if name in _STRUCTURES else None
+    mats, used, reached = _descend(mats, config, config.iterations, target)
+    if reached:
         frame = FusionFrame.from_arrays(mats, field)
-        achieved = worst_overlap(frame, config.criterion)
-        if not reached:
-            return frame, achieved, used
-        polished = _polish_stage(frame, achieved, governing, config)
+        polished = _polish_stage(frame, worst_overlap(frame, config.criterion), governing, config)
         if polished is not None:
             return (*polished, used)
-        cut /= 10
+        mats, steps, _ = _descend(mats, config, config.iterations - used)
+        used += steps
+    frame = FusionFrame.from_arrays(mats, field)
+    return frame, worst_overlap(frame, config.criterion), used
 
 
 def _result(
@@ -406,16 +381,16 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
     Runs up to ``config.restarts`` independent restarts from seeded
     random frames and returns the best by achieved criterion value (ties
     to the lowest restart index). Each restart descends to its own stop;
-    near a "simplex" or "eitff" bound the descent hands over to the
+    near a "simplex" or "eitff" bound the descent hands over once to the
     Gram-domain polish stage, which keeps its frame only if that frame
     certifies as an ECTFF or EITFF and is no worse (see
-    :func:`_polish_stage`). The search ends early after the first restart
-    whose achieved value is within ``config.tolerance`` of the governing
-    bound, since no later restart can beat it by more than that.
-    ``iterations_used`` counts the winning restart's descent iterations
-    only, not polish sweeps. Identical configs produce bit-identical
-    results. Invalid (n, d, c) raise ValueError from
-    ``bounds.governing_bound`` before any search starts.
+    :func:`_polish_stage`); otherwise the descent runs on. The search
+    ends early after the first restart whose achieved value is within
+    ``config.tolerance`` of the governing bound, since no later restart
+    can beat it by more than that. ``iterations_used`` counts the winning
+    restart's descent iterations only, not polish sweeps. Identical
+    configs produce bit-identical results. Invalid (n, d, c) raise
+    ValueError from ``bounds.governing_bound`` before any search starts.
     """
     governing = bounds.governing_bound(n, d, c, field, config.criterion is Criterion.SPECTRAL_OVERLAP)
     restart_seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(config.restarts, dtype=np.uint64)]

@@ -57,6 +57,26 @@ def test_readme_quick_start_runs_and_its_comments_hold():
     assert ns["result"].certificate.is_ectff
 
 
+# A name the README cites as gp.NAME or optimize.NAME, dotted paths and a
+# trailing NAME_* wildcard included.
+CITED = re.compile(r"\b(gp|optimize)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\*?)")
+
+
+def test_every_name_the_readme_cites_resolves():
+    owners = {"gp": gp, "optimize": importlib.import_module("grasspack.optimize")}
+    cited = CITED.findall(README.read_text(encoding="utf-8"))
+    assert {prefix for prefix, _, _ in cited} == set(owners)
+    for prefix, path, wildcard in cited:
+        *parents, last = path.split(".")
+        owner = owners[prefix]
+        for parent in parents:
+            owner = getattr(owner, parent)
+        if wildcard:
+            assert any(attr.startswith(last) for attr in dir(owner)), f"{prefix}.{path}*"
+        else:
+            assert hasattr(owner, last), f"{prefix}.{path}"
+
+
 R = gp.FieldTag.REAL
 SPECTRAL = gp.Criterion.SPECTRAL_OVERLAP
 ONE_VECTOR = gp.FusionFrame.from_arrays([[[1.0], [0.0]]])  # n = 1, d = 2, c = 1

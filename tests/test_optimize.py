@@ -15,9 +15,6 @@ from grasspack.optimize import (
     _descend,
     POLISH_CUT,
     POLISH_MARGIN,
-    POLISH_SWEEPS,
-    POLISH_WINDOW,
-    _out_of_reach,
     _polish_stage,
     _structural_projection,
     pack,
@@ -423,19 +420,6 @@ class TestPolishStage:
         # The frame certifies, but its overlap exceeds the descent's claimed value.
         assert _polish_stage(f, 0.0, _governing(f, "simplex"), PackConfig()) is None
 
-    def test_out_of_reach_extrapolates_the_recent_rate(self):
-        stalled = [1e-3] * (POLISH_WINDOW + 1)
-        assert _out_of_reach(stalled, 1e-10)
-        # Halving every sweep reaches 1e-10 from 1e-3 in 24 sweeps.
-        halving = [1e-3 * 0.5**k for k in range(POLISH_WINDOW + 1)]
-        assert not _out_of_reach(halving, 1e-10)
-        assert not _out_of_reach(stalled[:POLISH_WINDOW], 1e-10)
-        # A residual of 0 has no rate: it is never out of reach.
-        assert not _out_of_reach(stalled[:POLISH_WINDOW] + [0.0], 1e-10)
-        assert not _out_of_reach([0.0] + stalled[:POLISH_WINDOW], 1e-10)
-        # Near the cap even a fast rate runs out of sweeps.
-        assert _out_of_reach([1.0] * (POLISH_SWEEPS - POLISH_WINDOW) + halving, 1e-10)
-
     def test_fails_without_an_ectff(self):
         # No five equiangular lines span R^3, so no sweep can set the flag.
         f = random_frame(R, 3, 1, 5, 0)
@@ -494,12 +478,15 @@ class TestPackPolish:
         assert result.frame.array.tobytes() == mats.tobytes()
 
     def test_failed_polish_resumes_the_descent(self, monkeypatch):
-        # A polish that never succeeds leaves exactly the descent-only search.
-        config = PackConfig(iterations=300, restarts=2)
+        # A polish that never succeeds leaves exactly the descent-only search,
+        # with one polish per restart. 600 iterations bring each descent within
+        # POLISH_CUT / 100 of the bound, so a second polish at a smaller cut
+        # would show here.
+        config = PackConfig(iterations=600, restarts=2)
         achieved, restart_index, mats, used = _best_of_all_restarts(R, 4, 2, 3, config)
         calls = _count_polishes(monkeypatch, fail=True)
         result = pack(R, 4, 2, 3, config)
-        assert len(calls) >= 2
+        assert len(calls) == config.restarts
         assert result.achieved == achieved
         assert result.restart_index == restart_index
         assert result.iterations_used == used
@@ -507,7 +494,7 @@ class TestPackPolish:
 
     def test_below_round_off_the_polish_certifies_at_the_tolerance(self, monkeypatch):
         # The margin POLISH_MARGIN * 1e-14 is below round-off, so the polish
-        # runs until it is out of reach and then needs the flag at 1e-14 itself.
+        # runs all POLISH_SWEEPS sweeps and then needs the flag at 1e-14 itself.
         config = PackConfig(tolerance=1e-14)
         tols = []
         real = optimize.certify
@@ -519,6 +506,13 @@ class TestPackPolish:
         # Sweeps at the margin, the polish's check at the tolerance, then the result's certificate.
         assert set(tols[:-2]) == {POLISH_MARGIN * config.tolerance}
         assert tols[-2:] == [config.tolerance, config.tolerance]
+
+    def test_a_converging_polish_runs_on_to_its_certificate(self):
+        # This polish converges slowly at first and then faster; it certifies
+        # only when it is not cut off before POLISH_SWEEPS.
+        result = pack(C, 6, 2, 7, PackConfig(criterion=Criterion.SPECTRAL_OVERLAP, restarts=1, seed=0))
+        assert result.certificate.is_eitff
+        assert result.gap <= 1e-8
 
     def test_polish_runs_the_stage_after_its_descent(self):
         f = random_frame(R, 4, 2, 3, 2)
