@@ -18,14 +18,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bounds
-from .linalg import DEFAULT_TOL, _check_tol, _svals
+from .linalg import DEFAULT_TOL, _check_tol
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.certify.cross_gramian.
 from .metrics import (  # noqa: F401
     FusionFrame,
     _frobenius_sq,
     _pair_blocks,
+    _pair_spectra,
     _require_vectors,
+    _sum_sq,
     cross_gramian,
     fusion_frame_operator,
 )
@@ -116,11 +118,14 @@ def is_equichordal(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquichordalResul
     return _equichordal(_frobenius_sq(_pair_blocks(f.array)), tol)
 
 
-def _equiisoclinic(c: int, overlaps: np.ndarray, svals: np.ndarray, tol: float) -> EquiisoclinicResult:
-    # ||G* G - sigma_sq I||_F from the singular values s of G: G* G has
-    # eigenvalues s^2, so the deviation is the 2-norm of s^2 - sigma_sq.
+def _equiisoclinic(overlaps: np.ndarray, products: np.ndarray, tol: float) -> EquiisoclinicResult:
+    # ||G* G - sigma_sq I||_F from the products M = G* G, with sigma_sq
+    # taken off the diagonal before squaring. Expanding the square as
+    # ||M||_F^2 - 2 sigma_sq ||G||_F^2 + c sigma_sq^2 would cancel near an
+    # EITFF to about sqrt(eps), which is the default tolerance.
+    c = products.shape[-1]
     sigma_sq = float(np.mean(overlaps / c))
-    deviation = float(np.sqrt(((np.square(svals) - sigma_sq) ** 2).sum(axis=-1).max()))
+    deviation = float(np.sqrt(_sum_sq(products - sigma_sq * np.eye(c)).max()))
     flag = deviation <= tol * max(1.0, sigma_sq * math.sqrt(c))
     return EquiisoclinicResult(flag=flag, sigma_sq=sigma_sq, deviation=deviation)
 
@@ -131,11 +136,12 @@ def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicR
     For each pair the product G* G must equal sigma_sq I, with sigma_sq
     estimated as the mean of (1/c)||G||_F^2 over pairs. For orthonormal
     bases this is the projection identity P2 P1 P2 = sigma_sq P2, since
-    P2 P1 P2 - sigma_sq P2 = A2 (G* G - sigma_sq I) A2*.
+    P2 P1 P2 - sigma_sq P2 = A2 (G* G - sigma_sq I) A2*. The deviation
+    is taken from the products G* G, not from singular values.
     """
     _check_tol(tol)
-    blocks = _pair_blocks(f.array)
-    return _equiisoclinic(f.c, _frobenius_sq(blocks), _svals(blocks), tol)
+    overlaps, products, _ = _pair_spectra(_pair_blocks(f.array))
+    return _equiisoclinic(overlaps, products, tol)
 
 
 def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
@@ -147,19 +153,18 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     Bound gaps compare the frame's worst pairwise overlaps against the
     corresponding lower bounds; the orthoplex gap is reported only when
     n exceeds the Gerzon limit.
+
+    Every pairwise number comes from one pass over the pair blocks: the
+    overlaps ||G||_F^2, the products G* G, and the worst spectral overlap,
+    for which only the pairs that can hold it get an SVD (none at c = 1).
     """
     _check_tol(tol)
     n, d, c = f.n, f.d, f.c
 
     tight = is_tight_fusion_frame(f, tol)
-    # Every pairwise quantity below comes from this one (P, c, c) array
-    # and its singular values.
-    blocks = _pair_blocks(f.array)
-    overlaps = _frobenius_sq(blocks)
-    svals = _svals(blocks)
-    del blocks
+    overlaps, products, max_spec = _pair_spectra(_pair_blocks(f.array))
     chordal = _equichordal(overlaps, tol)
-    iso = _equiisoclinic(c, overlaps, svals, tol)
+    iso = _equiisoclinic(overlaps, products, tol)
 
     beta_expected = bounds.simplex_bound_gram(n, d, c)
     sigma_expected = bounds.eitff_bound(n, d, c)
@@ -175,7 +180,6 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     )
 
     max_frob = float(overlaps.max())
-    max_spec = float(svals[:, 0].max()) ** 2
 
     ortho = bounds.orthoplex_bound(n, d, c, f.field)
     orthoplex_gap = None if ortho is None else max_frob - ortho.gram

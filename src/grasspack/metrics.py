@@ -12,7 +12,8 @@ each subspace.
 
 Frame-wide quantities over all pairs are read off one product: the
 fusion Gram matrix X* X of the frame's array. The private helpers that
-build it, lay it out and factor it are shared with ``certify`` and ``optimize``.
+build it, lay it out, factor it and read the all-pairs statistics off
+its pair blocks are shared with ``certify`` and ``optimize``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bounds import _check_pair
-from .linalg import DEFAULT_TOL, FieldTag, Mat, _eigh, _field_array, _FieldArray, _qr_columns, singular_values
+from .linalg import DEFAULT_TOL, FieldTag, Mat, _eigh, _field_array, _FieldArray, _qr_columns, _svals, singular_values
 
 __all__ = [
     "FusionFrame",
@@ -231,6 +232,65 @@ def _pair_blocks(x: np.ndarray) -> np.ndarray:
 def _frobenius_sq(blocks: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix in a (..., c, c) stack."""
     return np.einsum("...kl,...kl->...", blocks.conj(), blocks).real
+
+
+def _sum_sq(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a C-contiguous (..., c, c) stack.
+
+    The squares are summed over a float64 view of the real and imaginary
+    parts, so unlike :func:`_frobenius_sq` a complex stack is not copied
+    to conjugate it. The pair overlaps stay with :func:`_frobenius_sq`,
+    so the objective and the chordal certificate fields keep their sums.
+    """
+    parts = stack.view(np.float64)
+    return np.einsum("...kl,...kl->...", parts, parts)
+
+
+# Pairs per step of the loop that forms G* G in _pair_spectra: at c = 2
+# over C each step's temporaries take about 0.25 MB.
+_PRODUCT_CHUNK = 4096
+
+
+def _pair_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The all-pairs statistics of a (P, c, c) stack of cross-Gramians G.
+
+    Returns ||G||_F^2 and M = G* G for each pair (at c = 1, M is the
+    overlap itself) and the largest squared spectral norm over the stack.
+    At c = 1 that is the largest overlap. For c >= 2 each pair's s_max^2
+    lies between sum(s^4)/sum(s^2) = ||M||_F^2/||G||_F^2 and
+    sqrt(sum(s^4)) = ||M||_F, so only the pairs whose upper bound reaches
+    the largest lower bound can hold the maximum, and only they are
+    passed to the SVD. The SVD treats each block on its own, so the
+    maximum is the one an SVD of every pair would give.
+    """
+    overlaps = _frobenius_sq(blocks)
+    c = blocks.shape[-1]
+    if c == 1:
+        return overlaps, overlaps[:, None, None], float(overlaps.max())
+    # M[i, j] = sum_k conj(G[k, i]) G[k, j], one broadcast product per row
+    # k of G, _PRODUCT_CHUNK pairs at a time. A stacked matmul makes one
+    # BLAS call per c x c block, several times slower for many small
+    # blocks, and temporaries the size of the whole stack would raise
+    # certify's peak memory above that of the Gram product.
+    products = np.empty(blocks.shape, blocks.dtype)
+    for start in range(0, len(blocks), _PRODUCT_CHUNK):
+        g = blocks[start : start + _PRODUCT_CHUNK]
+        m = products[start : start + _PRODUCT_CHUNK]
+        np.multiply(g[:, 0, :, None].conj(), g[:, 0, None, :], out=m)
+        for k in range(1, c):
+            m += g[:, k, :, None].conj() * g[:, k, None, :]
+    fourth = _sum_sq(products)
+    # A pair with ||G||_F = 0 has M = 0, so flooring the divisor at the
+    # smallest normal number only turns its 0/0 into a lower bound of 0.
+    lower = float((fourth / np.maximum(overlaps, np.finfo(np.float64).tiny)).max())
+    # M, its norm and the SVD's s_max each carry round-off of up to about
+    # c^2 ulps of s_max^2 (since ||G||_F^2 <= c s_max^2), so a pair whose
+    # upper bound falls short of the largest lower bound by less than that
+    # could still hold the largest computed s_max. Bounds are compared
+    # squared: upper^2 = ||M||_F^2.
+    keep = fourth >= (lower * (1.0 - 16 * c * c * np.finfo(np.float64).eps)) ** 2
+    candidates = blocks if np.count_nonzero(keep) == len(keep) else blocks[keep]
+    return overlaps, products, float(_svals(candidates)[:, 0].max()) ** 2
 
 
 def _block_matrix(pairs: np.ndarray, n: int, identity: bool) -> np.ndarray:

@@ -52,7 +52,7 @@ import numpy as np
 from . import bounds
 from .certify import Certificate, certify
 from .construct import random_frame
-from .linalg import FieldTag, NumericalError, _check_count, _check_tol, _qr_columns, _svals, _svd
+from .linalg import FieldTag, NumericalError, _check_count, _check_tol, _qr_columns, _svd
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.optimize.cross_gramian.
 from .metrics import (  # noqa: F401
@@ -62,6 +62,7 @@ from .metrics import (  # noqa: F401
     _frobenius_sq,
     _gram_to_frame,
     _pair_blocks,
+    _pair_spectra,
     cross_gramian,
 )
 
@@ -222,11 +223,15 @@ def smoothed_objective_and_gradient(
 
 
 def _worst_overlap(x: np.ndarray, criterion: Criterion) -> float:
-    """The worst pairwise overlap of an (n, d, c) stack of orthonormal bases."""
+    """The worst pairwise overlap of an (n, d, c) stack of orthonormal bases.
+
+    The spectral value takes an SVD only of the pairs that can hold it
+    (``metrics._pair_spectra``), and none at c = 1.
+    """
     blocks = _pair_blocks(x)
     if criterion is Criterion.CHORDAL_OVERLAP:
         return float(_frobenius_sq(blocks).max())
-    return float(_svals(blocks)[:, 0].max()) ** 2
+    return _pair_spectra(blocks)[2]
 
 
 def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:

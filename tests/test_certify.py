@@ -170,6 +170,16 @@ class TestVectorPredicates:
         assert not is_etf(orthoplex(2))  # |<.,.>| takes values 0 and 1
         assert not is_etf(skewed_triple)
 
+    @pytest.mark.parametrize("f", [regular_simplex(4), harmonic_etf(DifferenceSet(7, [1, 2, 4]))], ids=["R", "C"])
+    def test_c1_verdicts_take_no_svd(self, f, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert is_etf(f)
+        cert = certify(f)
+        assert cert.is_ectff and cert.is_eitff
+
     def test_regular_simplex_predicate(self):
         for n in range(2, 9):
             assert is_regular_simplex(regular_simplex(n))

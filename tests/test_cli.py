@@ -520,11 +520,12 @@ class TestHumanOutput:
 
 
 def test_certify_svd_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # A c = 2 frame: at c = 1 certify takes the spectral maximum without an SVD.
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     path = str(tmp_path / "s.json")
-    save_frame(regular_simplex(3), path)
+    save_frame(tensor_eitff(regular_simplex(3), 2), path)
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     code, out, err = run_capture(capsys, "certify", path)
     assert (code, out) == (2, "")

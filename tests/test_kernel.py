@@ -12,9 +12,12 @@ import pytest
 
 from grasspack.bounds import eitff_bound, simplex_bound_gram
 from grasspack.certify import certify, is_equichordal, is_equiisoclinic
-from grasspack.construct import random_frame, regular_simplex, tensor_eitff
-from grasspack.linalg import FieldTag, _qr_columns
+from grasspack import metrics
+from grasspack.construct import DifferenceSet, harmonic_etf, random_frame, regular_simplex, tensor_eitff
+from grasspack.linalg import FieldTag, _qr_columns, _svals
 from grasspack.metrics import (
+    FusionFrame,
+    _pair_blocks,
     coherence,
     cross_gramian,
     fusion_frame_operator,
@@ -34,6 +37,7 @@ from conftest import gaussian_matrix
 R = FieldTag.REAL
 C = FieldTag.COMPLEX
 SIZES = (2, 3, 7, 16, 40)
+CS = (1, 2, 3)
 REL = 1e-13
 
 
@@ -132,15 +136,17 @@ class TestAgainstPairLoops:
         assert grads.shape == ref.shape
         assert np.linalg.norm(grads - ref) <= REL * np.linalg.norm(ref)
 
-    def test_worst_overlap(self, n, field, criterion):
-        f = frame(field, n)
+    @pytest.mark.parametrize("c", CS)
+    def test_worst_overlap(self, n, field, criterion, c):
+        f = frame(field, n, c)
         assert close(worst_overlap(f, criterion), ref_worst_overlap(f, criterion))
 
 
+@pytest.mark.parametrize("c", CS)
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("field", [R, C], ids=["R", "C"])
-def test_certify_matches_pair_loop(n, field):
-    f = frame(field, n)
+def test_certify_matches_pair_loop(n, field, c):
+    f = frame(field, n, c)
     ref = ref_certify_pairs(f)
     cert = certify(f)
     chordal = is_equichordal(f)
@@ -193,3 +199,104 @@ class TestOtherPairLoops:
         f = frame(field, n, c=1)
         ref = max(abs(complex(g[0, 0])) for g in ref_grams(f))
         assert close(coherence(f), ref)
+
+
+def planes(columns, d):
+    """A real c = 2 frame in R^d; each basis is a pair of orthonormal
+    columns, each column an {index: entry} dict."""
+    x = np.zeros((len(columns), d, 2))
+    for j, pair in enumerate(columns):
+        for k, entries in enumerate(pair):
+            for i, v in entries.items():
+                x[j, i, k] = v
+    return FusionFrame.from_arrays(x, R)
+
+
+def rotated(i, k, angle):
+    """The unit vector cos(angle) e_i + sin(angle) e_k."""
+    return {i: math.cos(angle), k: math.sin(angle)}
+
+
+class TestSpectralPruning:
+    """The spectral maximum takes an SVD of the candidate pairs only; each
+    frame here is checked against an SVD of every pair block and against
+    the per-pair loop."""
+
+    @pytest.fixture
+    def svd_sizes(self, monkeypatch):
+        sizes = []
+
+        def spy(arr):
+            sizes.append(len(arr))
+            return _svals(arr)
+
+        monkeypatch.setattr(metrics, "_svals", spy)
+        return sizes
+
+    def check(self, f):
+        full = np.linalg.svd(_pair_blocks(f.array), compute_uv=False)
+        full_max = float(full[:, 0].max()) ** 2
+        assert worst_overlap(f, Criterion.SPECTRAL_OVERLAP) == full_max
+        cert = certify(f)
+        assert cert.eitff_gap == full_max - eitff_bound(f.n, f.d, f.c)
+        ref = ref_certify_pairs(f)
+        assert close(full_max, ref["max_spec"])
+        assert close(cert.sigma_deviation, ref["sigma_deviation"])
+        return full
+
+    @pytest.mark.parametrize(
+        "f",
+        [tensor_eitff(regular_simplex(4), 3), tensor_eitff(harmonic_etf(DifferenceSet(7, [1, 2, 4])), 2)],
+        ids=["R", "C"],
+    )
+    def test_exact_eitff_makes_every_pair_a_candidate(self, f, svd_sizes):
+        self.check(f)
+        assert svd_sizes == [f.n * (f.n - 1) // 2] * 2
+
+    def test_rank_one_pairs_tie_their_bounds(self, svd_sizes):
+        # span{v_j, e_(j+2)} with v_j in span{e_0, e_1}: every cross-Gramian
+        # is rank 1, so both bounds equal s_max^2, and the closest two
+        # angles (0 and 0.3) alone hold the maximum.
+        angles = (0.0, 0.3, 0.7, 1.2)
+        f = planes([(rotated(0, 1, a), {j + 2: 1.0}) for j, a in enumerate(angles)], 6)
+        full = self.check(f)
+        assert np.all(full[:, 1] <= 1e-15)
+        assert svd_sizes == [1, 1]
+
+    def test_orthogonal_pairs(self, svd_sizes):
+        # Pair (0, 1) has G = 0, which has no lower bound to divide out.
+        mixed = planes(
+            [({0: 1.0}, {1: 1.0}), ({2: 1.0}, {3: 1.0}), (rotated(0, 2, math.pi / 4), rotated(1, 3, math.pi / 4))],
+            4,
+        )
+        full = self.check(mixed)
+        assert full[0, 0] == 0.0
+        assert svd_sizes == [2, 2]
+        orthogonal = planes([({0: 1.0}, {1: 1.0}), ({2: 1.0}, {3: 1.0}), ({4: 1.0}, {5: 1.0})], 6)
+        assert worst_overlap(orthogonal, Criterion.SPECTRAL_OVERLAP) == 0.0
+        cert = certify(orthogonal)
+        assert cert.sigma_deviation == 0.0
+        self.check(orthogonal)
+
+    def test_largest_frobenius_pair_is_not_the_spectral_maximum(self, svd_sizes):
+        # Pair (0, 1) has s = (0.7, 0.7): ||G||_F^2 = 0.98, s_max^2 = 0.49.
+        # Pair (0, 2) has s = (0.8, 0): ||G||_F^2 = s_max^2 = 0.64.
+        a, b = math.acos(0.7), math.acos(0.8)
+        f = planes(
+            [
+                ({0: 1.0}, {1: 1.0}),
+                (rotated(0, 2, a), rotated(1, 3, a)),
+                (rotated(0, 4, b), {5: 1.0}),
+            ],
+            6,
+        )
+        full = self.check(f)
+        overlaps = (full**2).sum(axis=1)
+        assert np.argmax(overlaps) == 0 and np.argmax(full[:, 0]) == 1
+        assert worst_overlap(f, Criterion.SPECTRAL_OVERLAP) == pytest.approx(0.64, abs=1e-15)
+        assert svd_sizes[0] == 2
+
+    def test_random_frame_prunes_to_few_pairs(self, svd_sizes):
+        f = random_frame(C, 10, 2, 100, 0)
+        self.check(f)
+        assert 1 <= svd_sizes[0] < 50

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grasspack
 from grasspack.linalg import FieldTag, Mat, NumericalError, _eigh, _qr_columns, _svd, orthonormalize, singular_values
 
 from conftest import gaussian_matrix
@@ -122,6 +126,23 @@ class TestFactorizations:
         monkeypatch.setattr(np.linalg, name, no_convergence)
         with pytest.raises(NumericalError, match="failed to converge: did not converge$"):
             call()
+
+    def test_factorizations_are_called_only_in_linalg(self):
+        # Every SVD, eigendecomposition and QR goes through linalg, so that
+        # each failure is a NumericalError and certify's pruned SVD gives
+        # what an SVD of every pair would. A reference to an attribute or
+        # an imported name svd, eigh or qr anywhere else breaks the rule.
+        names = {"svd", "eigh", "qr"}
+        found = []
+        for path in sorted(Path(grasspack.__file__).parent.glob("*.py")):
+            if path.name == "linalg.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in names:
+                    found.append(f"{path.name}:{node.lineno} .{node.attr}")
+                elif isinstance(node, ast.ImportFrom):
+                    found += [f"{path.name}:{node.lineno} import {a.name}" for a in node.names if a.name in names]
+        assert found == []
 
 
 class TestOrthonormalize:
