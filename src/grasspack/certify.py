@@ -25,8 +25,9 @@ from .metrics import (  # noqa: F401
     FusionFrame,
     _frobenius_sq,
     _pair_blocks,
-    _pair_spectra,
+    _pair_products,
     _require_vectors,
+    _spectral_max,
     _sum_sq,
     cross_gramian,
     fusion_frame_operator,
@@ -137,10 +138,10 @@ def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicR
     estimated as the mean of (1/c)||G||_F^2 over pairs. For orthonormal
     bases this is the projection identity P2 P1 P2 = sigma_sq P2, since
     P2 P1 P2 - sigma_sq P2 = A2 (G* G - sigma_sq I) A2*. The deviation
-    is taken from the products G* G, not from singular values.
+    is taken from the products G* G, so no SVD is taken.
     """
     _check_tol(tol)
-    overlaps, products, _ = _pair_spectra(_pair_blocks(f.array))
+    overlaps, products = _pair_products(_pair_blocks(f.array))
     return _equiisoclinic(overlaps, products, tol)
 
 
@@ -162,7 +163,10 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     n, d, c = f.n, f.d, f.c
 
     tight = is_tight_fusion_frame(f, tol)
-    overlaps, products, max_spec = _pair_spectra(_pair_blocks(f.array))
+    blocks = _pair_blocks(f.array)
+    overlaps, products = _pair_products(blocks)
+    max_spec = _spectral_max(blocks, overlaps, products)
+    del blocks  # so the deviation's temporary can take its memory
     chordal = _equichordal(overlaps, tol)
     iso = _equiisoclinic(overlaps, products, tol)
 

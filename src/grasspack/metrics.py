@@ -10,10 +10,11 @@ spectral / geodesic distances between subspaces. All pairwise
 quantities are invariant under the choice of orthonormal basis within
 each subspace.
 
-Frame-wide quantities over all pairs are read off one product: the
-fusion Gram matrix X* X of the frame's array. The private helpers that
-build it, lay it out, factor it and read the all-pairs statistics off
-its pair blocks are shared with ``certify`` and ``optimize``.
+Frame-wide quantities over all pairs are read off the fusion Gram
+matrix X* X of the frame's array, formed in products small enough to run
+on the calling thread. The private helpers that build it, lay it out,
+factor it and read the all-pairs statistics off its pair blocks are
+shared with ``certify`` and ``optimize``.
 """
 
 from __future__ import annotations
@@ -194,39 +195,78 @@ def cross_gramian(b1: SubspaceBasis, b2: SubspaceBasis) -> Mat:
     return Mat(b1.array.conj().T @ b2.array, b1.field)
 
 
-@functools.lru_cache(maxsize=32)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs j < j', in FusionFrame.pairs() order."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def _flat(x: np.ndarray) -> np.ndarray:
     """The d x nc matrix [X_1 ... X_n] of all basis vectors of an (n, d, c) stack."""
     n, d, c = x.shape
     return x.transpose(1, 0, 2).reshape(d, n * c)
 
 
-def _gram_blocks(x: np.ndarray) -> np.ndarray:
-    """The fusion Gram matrix X* X of an (n, d, c) stack, as n x n blocks.
+# Largest product that _pair_blocks and fusion_frame_operator hand to
+# BLAS, in real multiply-adds (a complex one counts 4). OpenBLAS runs a
+# larger product on its worker thread, which then busy-waits for about
+# 0.1 s and slows whatever runs next on a small machine. On OpenBLAS
+# 0.3.31 (Haswell kernels) complex products of 64,000 multiply-adds
+# stayed on the calling thread and of 65,600 and 115,200 woke the worker;
+# real products wake it later.
+_SERIAL_PRODUCT = 2**18
 
-    One matrix product over all nc basis vectors; entry [j, j'] of the
-    returned (n, n, c, c) view is the cross-Gramian X_j* X_j'.
+
+def _depth(x: np.ndarray) -> int:
+    """Real multiply-adds per entry of a product over the d rows of an (n, d, c) stack."""
+    return x.shape[1] * (4 if x.dtype.kind == "c" else 1)
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_plan(n: int, c: int, depth: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """How :func:`_pair_blocks` forms the pairs j < j' of n bases of c columns.
+
+    ``depth`` is the real multiply-adds per product entry (:func:`_depth`).
+    Each step (j0, j1, index) is one product of block rows j0 <= j < j1
+    with block columns j0 and up, of as many block rows as keep it within
+    _SERIAL_PRODUCT, and at least one. ``index`` holds, for each pair of
+    the step in FusionFrame.pairs() order, the c rows of the product
+    viewed as (rows * width, c) that form its cross-Gramian.
     """
-    n, _, c = x.shape
-    flat = _flat(x)
-    return (flat.conj().T @ flat).reshape(n, c, n, c).transpose(0, 2, 1, 3)
+    rows, cols = np.triu_indices(n, 1)
+    steps = []
+    j0 = start = 0
+    while j0 < n - 1:
+        width = n - j0
+        j1 = min(n, j0 + max(1, _SERIAL_PRODUCT // (c * c * width * depth)))
+        stop = int(np.searchsorted(rows, j1))
+        index = ((rows[start:stop, None] - j0) * c + np.arange(c)) * width + (cols[start:stop, None] - j0)
+        index.setflags(write=False)
+        steps.append((j0, j1, index))
+        j0, start = j1, stop
+    return tuple(steps)
 
 
 def _pair_blocks(x: np.ndarray) -> np.ndarray:
     """Cross-Gramians of all pairs j < j' of an (n, d, c) stack, as (P, c, c).
 
     The one all-pairs kernel, so it owns the check that there is a pair.
+    It forms each block row of the fusion Gram matrix X* X from its
+    diagonal block on, by the products of :func:`_pair_plan`, each small
+    enough to run on the calling thread, and gathers each product's pairs
+    by one cached index. A frame that fits in one product, as every
+    search frame does, takes the whole X* X.
     """
-    _check_pair(x.shape[0])
-    return _gram_blocks(x)[_triu(x.shape[0])]
+    n, _, c = x.shape
+    _check_pair(n)
+    flat = _flat(x)
+    # Each index is in range by construction, so mode="clip" changes no
+    # position; it lets take write straight into ``out``, where the
+    # default mode buffers it. Fancy indexing is about 3x slower here.
+    steps = _pair_plan(n, c, _depth(x))
+    if steps[0][1] == n:
+        return np.take((flat.conj().T @ flat).reshape(-1, c), steps[0][2], axis=0, mode="clip")
+    out = np.empty((n * (n - 1) // 2, c, c), dtype=flat.dtype)
+    start = 0
+    for j0, j1, index in steps:
+        product = flat[:, j0 * c : j1 * c].conj().T @ flat[:, j0 * c :]
+        np.take(product.reshape(-1, c), index, axis=0, out=out[start : start + len(index)], mode="clip")
+        start += len(index)
+    return out
 
 
 def _frobenius_sq(blocks: np.ndarray) -> np.ndarray:
@@ -246,39 +286,52 @@ def _sum_sq(stack: np.ndarray) -> np.ndarray:
     return np.einsum("...kl,...kl->...", parts, parts)
 
 
-# Pairs per step of the loop that forms G* G in _pair_spectra: at c = 2
-# over C each step's temporaries take about 0.25 MB.
+# Pairs per step of the loop that forms G* G in _pair_products: at c = 2
+# over C each step's four temporaries take about 1 MB.
 _PRODUCT_CHUNK = 4096
 
 
-def _pair_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The all-pairs statistics of a (P, c, c) stack of cross-Gramians G.
+def _pair_products(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||G||_F^2 and M = G* G for each cross-Gramian G of a (P, c, c) stack.
 
-    Returns ||G||_F^2 and M = G* G for each pair (at c = 1, M is the
-    overlap itself) and the largest squared spectral norm over the stack.
-    At c = 1 that is the largest overlap. For c >= 2 each pair's s_max^2
-    lies between sum(s^4)/sum(s^2) = ||M||_F^2/||G||_F^2 and
+    At c = 1, M is the overlap itself.
+    """
+    overlaps = _frobenius_sq(blocks)
+    c = blocks.shape[-1]
+    if c == 1:
+        return overlaps, overlaps[:, None, None]
+    # M[i, j] = sum_k conj(G[k, i]) G[k, j], one broadcast product per row
+    # k of G, _PRODUCT_CHUNK pairs at a time. Each chunk is copied to a
+    # (c, c, pairs) layout first, so that every ufunc loops along the
+    # pairs: on the (pairs, c, c) layout its inner loops run over c
+    # entries only, about 3x slower at c = 2. A stacked matmul makes one
+    # BLAS call per c x c block, slower still, and temporaries the size
+    # of the whole stack would raise certify's peak memory.
+    products = np.empty(blocks.shape, blocks.dtype)
+    for start in range(0, len(blocks), _PRODUCT_CHUNK):
+        g = blocks[start : start + _PRODUCT_CHUNK].transpose(1, 2, 0).copy()
+        conj = g.conj()
+        m = conj[0, :, None] * g[0, None, :]
+        for k in range(1, c):
+            m += conj[k, :, None] * g[k, None, :]
+        products[start : start + _PRODUCT_CHUNK] = m.transpose(2, 0, 1)
+    return overlaps, products
+
+
+def _spectral_max(blocks: np.ndarray, overlaps: np.ndarray, products: np.ndarray) -> float:
+    """The largest squared spectral norm over a (P, c, c) stack of cross-Gramians.
+
+    ``overlaps`` and ``products`` are the stack's :func:`_pair_products`.
+    At c = 1 the maximum is the largest overlap. For c >= 2 each pair's
+    s_max^2 lies between sum(s^4)/sum(s^2) = ||M||_F^2/||G||_F^2 and
     sqrt(sum(s^4)) = ||M||_F, so only the pairs whose upper bound reaches
     the largest lower bound can hold the maximum, and only they are
     passed to the SVD. The SVD treats each block on its own, so the
     maximum is the one an SVD of every pair would give.
     """
-    overlaps = _frobenius_sq(blocks)
     c = blocks.shape[-1]
     if c == 1:
-        return overlaps, overlaps[:, None, None], float(overlaps.max())
-    # M[i, j] = sum_k conj(G[k, i]) G[k, j], one broadcast product per row
-    # k of G, _PRODUCT_CHUNK pairs at a time. A stacked matmul makes one
-    # BLAS call per c x c block, several times slower for many small
-    # blocks, and temporaries the size of the whole stack would raise
-    # certify's peak memory above that of the Gram product.
-    products = np.empty(blocks.shape, blocks.dtype)
-    for start in range(0, len(blocks), _PRODUCT_CHUNK):
-        g = blocks[start : start + _PRODUCT_CHUNK]
-        m = products[start : start + _PRODUCT_CHUNK]
-        np.multiply(g[:, 0, :, None].conj(), g[:, 0, None, :], out=m)
-        for k in range(1, c):
-            m += g[:, k, :, None].conj() * g[:, k, None, :]
+        return float(overlaps.max())
     fourth = _sum_sq(products)
     # A pair with ||G||_F = 0 has M = 0, so flooring the divisor at the
     # smallest normal number only turns its 0/0 into a lower bound of 0.
@@ -290,7 +343,25 @@ def _pair_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     # squared: upper^2 = ||M||_F^2.
     keep = fourth >= (lower * (1.0 - 16 * c * c * np.finfo(np.float64).eps)) ** 2
     candidates = blocks if np.count_nonzero(keep) == len(keep) else blocks[keep]
-    return overlaps, products, float(_svals(candidates)[:, 0].max()) ** 2
+    return float(_svals(candidates)[:, 0].max()) ** 2
+
+
+@functools.lru_cache(maxsize=32)
+def _block_plan(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in an nc x nc matrix of the (P, c, c) pair blocks and of their adjoints.
+
+    Entry [p, k, l] of the first is where entry (k, l) of block p goes, at
+    (jc + k, j'c + l) for the p-th pair j < j' in FusionFrame.pairs()
+    order; of the second, where its conjugate goes, at (j'c + l, jc + k).
+    """
+    rows, cols = np.triu_indices(n, 1)
+    k = np.arange(c)
+    row = rows[:, None, None] * c + k[:, None]
+    col = cols[:, None, None] * c + k
+    upper, lower = row * (n * c) + col, col * (n * c) + row
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
 
 
 def _block_matrix(pairs: np.ndarray, n: int, identity: bool) -> np.ndarray:
@@ -298,16 +369,18 @@ def _block_matrix(pairs: np.ndarray, n: int, identity: bool) -> np.ndarray:
 
     Block (j, j') is the pair block of j < j' in FusionFrame.pairs()
     order, block (j', j) its adjoint, and each diagonal block I if
-    ``identity``, else 0 and never written.
+    ``identity``, else 0 and never written. Both are scattered straight
+    into the result by the cached positions of :func:`_block_plan`.
     """
-    c = pairs.shape[-1]
-    rows, cols = _triu(n)
-    blocks = np.zeros((n, n, c, c), dtype=pairs.dtype)
-    blocks[rows, cols] = pairs
-    blocks[cols, rows] = pairs.conj().swapaxes(-2, -1)
+    size = n * pairs.shape[-1]
+    upper, lower = _block_plan(n, pairs.shape[-1])
+    out = np.zeros((size, size), dtype=pairs.dtype)
+    entries = out.reshape(-1)
+    entries[upper] = pairs
+    entries[lower] = pairs.conj()
     if identity:
-        blocks.reshape(n * n, c, c)[:: n + 1] = np.eye(c)
-    return blocks.transpose(0, 2, 1, 3).reshape(n * c, n * c)
+        entries[:: size + 1] = 1
+    return out
 
 
 def _gram_to_frame(pairs: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -329,16 +402,27 @@ def fusion_gram(f: FusionFrame) -> Mat:
     blocks are exactly the identity and the lower triangle mirrors the
     upper, so the result is self-adjoint by construction (I_c when n = 1).
     """
-    return Mat(_block_matrix(_gram_blocks(f.array)[_triu(f.n)], f.n, True), f.field)
+    if f.n == 1:
+        return Mat(np.eye(f.c, dtype=f.array.dtype), f.field)
+    return Mat(_block_matrix(_pair_blocks(f.array), f.n, True), f.field)
 
 
 def fusion_frame_operator(f: FusionFrame) -> Mat:
     """Sum of the n orthogonal projections, a d x d PSD matrix of trace nc.
 
-    Computed as the one product X X* of the d x nc matrix of all bases.
+    Computed as X X* of the d x nc matrix X of all bases. A frame that
+    fits in one product of at most _SERIAL_PRODUCT multiply-adds, as every
+    search frame does, takes X X* at once; a larger one sums X X* over
+    column chunks of that size, so every product runs on the calling
+    thread.
     """
     flat = _flat(f.array)
-    return Mat(flat @ flat.conj().T, f.field)
+    depth = _depth(f.array)
+    if flat.size * depth <= _SERIAL_PRODUCT:
+        return Mat(flat @ flat.conj().T, f.field)
+    width = max(1, _SERIAL_PRODUCT // (f.d * depth))
+    parts = np.split(flat, range(width, flat.shape[1], width), axis=1)
+    return Mat(sum(p @ p.conj().T for p in parts), f.field)
 
 
 def principal_angles(b1: SubspaceBasis, b2: SubspaceBasis) -> PrincipalAngles:

@@ -62,7 +62,8 @@ from .metrics import (  # noqa: F401
     _frobenius_sq,
     _gram_to_frame,
     _pair_blocks,
-    _pair_spectra,
+    _pair_products,
+    _spectral_max,
     cross_gramian,
 )
 
@@ -226,12 +227,12 @@ def _worst_overlap(x: np.ndarray, criterion: Criterion) -> float:
     """The worst pairwise overlap of an (n, d, c) stack of orthonormal bases.
 
     The spectral value takes an SVD only of the pairs that can hold it
-    (``metrics._pair_spectra``), and none at c = 1.
+    (``metrics._spectral_max``), and none at c = 1.
     """
     blocks = _pair_blocks(x)
     if criterion is Criterion.CHORDAL_OVERLAP:
         return float(_frobenius_sq(blocks).max())
-    return _pair_spectra(blocks)[2]
+    return _spectral_max(blocks, *_pair_products(blocks))
 
 
 def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:

@@ -15,7 +15,7 @@ from grasspack.certify import (
     is_unit_norm_tight_frame,
 )
 from grasspack.construct import harmonic_etf, orthoplex, random_frame, regular_simplex, tensor_eitff, DifferenceSet
-from grasspack.linalg import FieldTag, Mat
+from grasspack.linalg import FieldTag, Mat, NumericalError
 from grasspack.metrics import FusionFrame, SubspaceBasis, coherence, cross_gramian
 
 from conftest import random_unitary
@@ -105,6 +105,19 @@ class TestEquiisoclinic:
     def test_generic_frame_fails(self):
         res = is_equiisoclinic(random_frame(R, 4, 2, 3, 1))
         assert not res.flag
+
+    @pytest.mark.parametrize("field", [R, C], ids=["R", "C"])
+    def test_takes_no_svd(self, field, monkeypatch):
+        f = random_frame(field, 6, 2, 12, 0)
+        expected = is_equiisoclinic(f)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert is_equiisoclinic(f) == expected
+        with pytest.raises(NumericalError):
+            certify(f)
 
 
 class TestCertify:

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grasspack.bounds import eitff_bound, simplex_bound_gram
 from grasspack.certify import certify, is_equichordal, is_equiisoclinic
@@ -199,6 +201,89 @@ class TestOtherPairLoops:
         f = frame(field, n, c=1)
         ref = max(abs(complex(g[0, 0])) for g in ref_grams(f))
         assert close(coherence(f), ref)
+
+
+# (field, d, c, n) of frames too large for one product of at most
+# metrics._SERIAL_PRODUCT multiply-adds, so their pair blocks come from
+# several products.
+SEVERAL = [(R, 20, 2, 60), (C, 20, 2, 40), (R, 20, 3, 40), (C, 10, 1, 100)]
+
+
+@pytest.mark.parametrize("field, d, c, n", SEVERAL, ids=lambda v: getattr(v, "value", v))
+class TestSeveralProducts:
+    def frame(self, field, d, c, n):
+        f = random_frame(field, d, c, n, 1)
+        assert len(metrics._pair_plan(n, c, metrics._depth(f.array))) > 1
+        return f
+
+    def test_pair_blocks(self, field, d, c, n):
+        # Bit for bit: each pair's block sliced out of the product of its
+        # plan step. To round-off: the per-pair cross-Gramians.
+        f = self.frame(field, d, c, n)
+        flat = metrics._flat(f.array)
+        blocks = _pair_blocks(f.array)
+        out = iter(blocks)
+        for j0, j1, _ in metrics._pair_plan(n, c, metrics._depth(f.array)):
+            product = flat[:, j0 * c : j1 * c].conj().T @ flat[:, j0 * c :]
+            for j in range(j0, j1):
+                for jj in range(j + 1, n):
+                    row, col = (j - j0) * c, (jj - j0) * c
+                    assert np.array_equal(next(out), product[row : row + c, col : col + c])
+        assert next(out, None) is None
+        assert np.max(np.abs(blocks - np.stack(ref_grams(f)))) <= REL
+
+    def test_certify(self, field, d, c, n):
+        f = self.frame(field, d, c, n)
+        ref = ref_certify_pairs(f)
+        cert = certify(f)
+        assert close(cert.beta, ref["beta"]) and close(cert.beta_deviation, ref["beta_deviation"])
+        assert close(cert.sigma_sq, ref["sigma_sq"]) and close(cert.sigma_deviation, ref["sigma_deviation"])
+        assert close(cert.simplex_gap, ref["max_frob"] - simplex_bound_gram(n, d, c))
+        assert close(cert.eitff_gap, ref["max_spec"] - eitff_bound(n, d, c))
+
+    @pytest.mark.parametrize("criterion", list(Criterion), ids=lambda c: c.value)
+    def test_objective_and_gradient(self, field, d, c, n, criterion):
+        x = self.frame(field, d, c, n).array
+        ref_obj, ref_grads = ref_objective_and_gradient(list(x), criterion, 200.0)
+        obj, grads = smoothed_objective_and_gradient(x, criterion, 200.0)
+        assert close(obj, ref_obj)
+        ref = np.stack(ref_grads)
+        assert np.linalg.norm(grads - ref) <= REL * np.linalg.norm(ref)
+
+    def test_fusion_gram(self, field, d, c, n):
+        f = self.frame(field, d, c, n)
+        g = fusion_gram(f).array
+        for (j, jj), ref in zip(f.pairs(), ref_grams(f)):
+            assert np.max(np.abs(g[j * c : (j + 1) * c, jj * c : (jj + 1) * c] - ref)) <= REL
+            assert np.array_equal(g[jj * c : (jj + 1) * c, j * c : (j + 1) * c], g[j * c : (j + 1) * c, jj * c : (jj + 1) * c].conj().T)
+
+
+@given(st.integers(2, 300), st.integers(1, 4), st.integers(1, 400))
+def test_pair_plan_covers_every_pair_once_within_the_product_bound(n, c, depth):
+    steps = metrics._pair_plan(n, c, depth)
+    found, j_next = [], 0
+    for j0, j1, index in steps:
+        assert j0 == j_next < j1 <= n
+        assert not index.flags.writeable
+        width = n - j0
+        assert (j1 - j0) * c * width * c * depth <= metrics._SERIAL_PRODUCT or j1 == j0 + 1
+        assert np.array_equal(index, index[:, :1] + np.arange(c) * width)
+        row, col = np.divmod(index[:, 0], width)
+        assert np.all(row % c == 0)
+        found += zip((j0 + row // c).tolist(), (j0 + col).tolist())
+        j_next = j1
+    assert j_next >= n - 1
+    assert found == pairs(n)
+    if (n * c) ** 2 * depth <= metrics._SERIAL_PRODUCT:
+        assert len(steps) == 1 and steps[0][1] == n
+
+
+@pytest.mark.parametrize("field, n", [(R, 400), (C, 100)], ids=["R", "C"])
+def test_fusion_frame_operator_sums_several_products(field, n):
+    f = random_frame(field, 20, 2, n, 0)
+    flat = metrics._flat(f.array)
+    assert flat.size * metrics._depth(f.array) > metrics._SERIAL_PRODUCT
+    assert np.max(np.abs(fusion_frame_operator(f).array - flat @ flat.conj().T)) <= REL * n
 
 
 def planes(columns, d):

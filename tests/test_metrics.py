@@ -243,8 +243,8 @@ class TestFusionGram:
 @pytest.mark.parametrize("field", [R, C], ids=["R", "C"])
 @pytest.mark.parametrize("c", [1, 2, 3])
 @pytest.mark.parametrize("identity", [True, False])
-def test_block_matrix_matches_a_pair_loop(rng, field, c, identity):
-    n = 4
+@pytest.mark.parametrize("n", [2, 4, 9])
+def test_block_matrix_matches_a_pair_loop(rng, n, field, c, identity):
     pairs = np.stack([gaussian_matrix(c, c, field, rng) for _ in range(n * (n - 1) // 2)])
     ref = np.zeros((n * c, n * c), dtype=pairs.dtype)
     pair_list = [(j, jj) for j in range(n) for jj in range(j + 1, n)]
