@@ -22,6 +22,7 @@ from .linalg import DEFAULT_TOL, _check_tol
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.certify.cross_gramian.
 from .metrics import (  # noqa: F401
+    _PRODUCT_CHUNK,
     FusionFrame,
     _frobenius_sq,
     _pair_blocks,
@@ -123,10 +124,16 @@ def _equiisoclinic(overlaps: np.ndarray, products: np.ndarray, tol: float) -> Eq
     # ||G* G - sigma_sq I||_F from the products M = G* G, with sigma_sq
     # taken off the diagonal before squaring. Expanding the square as
     # ||M||_F^2 - 2 sigma_sq ||G||_F^2 + c sigma_sq^2 would cancel near an
-    # EITFF to about sqrt(eps), which is the default tolerance.
+    # EITFF to about sqrt(eps), which is the default tolerance. The
+    # difference is formed _PRODUCT_CHUNK pairs at a time, so only one
+    # norm per pair outlives it; the max still propagates a NaN.
     c = products.shape[-1]
     sigma_sq = float(np.mean(overlaps / c))
-    deviation = float(np.sqrt(_sum_sq(products - sigma_sq * np.eye(c)).max()))
+    shift = sigma_sq * np.eye(c)
+    dev_sq = np.empty(len(products))
+    for start in range(0, len(products), _PRODUCT_CHUNK):
+        dev_sq[start : start + _PRODUCT_CHUNK] = _sum_sq(products[start : start + _PRODUCT_CHUNK] - shift)
+    deviation = float(np.sqrt(dev_sq.max()))
     flag = deviation <= tol * max(1.0, sigma_sq * math.sqrt(c))
     return EquiisoclinicResult(flag=flag, sigma_sq=sigma_sq, deviation=deviation)
 
@@ -166,7 +173,6 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     blocks = _pair_blocks(f.array)
     overlaps, products = _pair_products(blocks)
     max_spec = _spectral_max(blocks, overlaps, products)
-    del blocks  # so the deviation's temporary can take its memory
     chordal = _equichordal(overlaps, tol)
     iso = _equiisoclinic(overlaps, products, tol)
 

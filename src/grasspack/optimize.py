@@ -15,7 +15,9 @@ gradient descent in the ambient entries, followed by QR
 re-orthonormalization of every basis (a retraction onto the product of
 Stiefel manifolds). Each line search starts from the fixed step
 ``STEP_SIZE``, halving on objective increase (at most 20 halvings per
-iteration), with no momentum. Runs are deterministic: restarts draw
+iteration), with no momentum. Each trial is evaluated once, objective
+and gradient together, so the accepted trial's gradient is the next
+step's direction. Runs are deterministic: restarts draw
 their starting frames from seeds derived from the configured seed.
 
 A descent on a soft max brings the overlaps level quickly but makes the
@@ -181,8 +183,8 @@ def smoothed_objective(
     the running max for overflow safety.
     """
     _check_criterion(criterion)
-    # Overflow to inf on pathological inputs is deliberate; the descent
-    # loop detects it and rejects the step (or raises NumericalError).
+    # Overflow to inf on pathological inputs is deliberate: the value
+    # comes back non-finite instead of raising.
     with np.errstate(over="ignore", invalid="ignore"):
         vals, _, _ = _pair_values(_pair_blocks(np.asarray(mats)), criterion)
         return _soft_max(vals, smoothing)[0]
@@ -247,9 +249,12 @@ def _descend(
     """Backtracking gradient descent with QR retraction after every step.
 
     ``mats`` is the (n, d, c) stack of the starting bases. Runs at most
-    ``budget`` iterations. Returns the final stack, the number of
-    iterations that accepted a step, and whether it stopped because an
-    accepted step brought the true worst overlap to ``target`` or below. The true value is computed only once
+    ``budget`` iterations. Each line-search trial is evaluated once, by
+    :func:`smoothed_objective_and_gradient`, and an accepted trial's
+    gradient is the next iteration's direction. Returns the final stack,
+    the number of iterations that accepted a step, and whether it
+    stopped because an accepted step brought the true worst overlap to
+    ``target`` or below. The true value is computed only once
     the objective passes a necessary pre-test: over P pairs the soft max
     exceeds the largest smoothed overlap by at most log(P)/SMOOTHING, and
     a smoothed overlap is the chordal overlap itself or, for the spectral
@@ -258,7 +263,10 @@ def _descend(
     objective. Only a finite trial value is accepted, so the objective
     stays finite once the start's is.
     """
-    fval = smoothed_objective(mats, config.criterion)
+    # Overflow to inf on pathological inputs is deliberate: a non-finite
+    # start raises and a non-finite trial is rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fval, grads = smoothed_objective_and_gradient(mats, config.criterion)
     if not math.isfinite(fval):
         raise NumericalError(f"non-finite objective {fval!r} at the starting frame")
     if target is not None:
@@ -267,16 +275,16 @@ def _descend(
         pretest = surrogate * target + math.log(n * (n - 1) // 2) / SMOOTHING
     used = 0
     for _ in range(budget):
-        _, grads = smoothed_objective_and_gradient(mats, config.criterion)
         if not grads.any():
             break
         step = STEP_SIZE
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial = _qr_columns(mats - step * grads)
-            ftrial = smoothed_objective(trial, config.criterion)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ftrial, gtrial = smoothed_objective_and_gradient(trial, config.criterion)
             if math.isfinite(ftrial) and ftrial < fval:
-                mats, fval = trial, ftrial
+                mats, fval, grads = trial, ftrial, gtrial
                 accepted = True
                 break
             step *= 0.5

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,9 +17,12 @@ from grasspack.certify import (
 )
 from grasspack.construct import harmonic_etf, orthoplex, random_frame, regular_simplex, tensor_eitff, DifferenceSet
 from grasspack.linalg import FieldTag, Mat, NumericalError
-from grasspack.metrics import FusionFrame, SubspaceBasis, coherence, cross_gramian
+from grasspack.metrics import FusionFrame, SubspaceBasis, _pair_blocks, _pair_products, _sum_sq, coherence, cross_gramian
 
 from conftest import random_unitary
+
+# The module, not the certify function that grasspack re-exports under its name.
+certify_module = importlib.import_module("grasspack.certify")
 
 R = FieldTag.REAL
 C = FieldTag.COMPLEX
@@ -118,6 +122,21 @@ class TestEquiisoclinic:
         assert is_equiisoclinic(f) == expected
         with pytest.raises(NumericalError):
             certify(f)
+
+    @pytest.mark.parametrize("field", [R, C], ids=["R", "C"])
+    def test_deviation_over_several_chunks(self, field, monkeypatch):
+        # 66 pairs in chunks of 7: the last chunk is partial. Each pair's
+        # norm is the one the whole-stack difference gives, and a NaN in
+        # any chunk reaches the deviation.
+        overlaps, products = _pair_products(_pair_blocks(random_frame(field, 6, 2, 12, 0).array))
+        sigma_sq = float(np.mean(overlaps / 2))
+        expected = float(np.sqrt(_sum_sq(products - sigma_sq * np.eye(2)).max()))
+        monkeypatch.setattr(certify_module, "_PRODUCT_CHUNK", 7)
+        assert certify_module._equiisoclinic(overlaps, products, 1e-8).deviation == expected
+        products = products.copy()
+        products[60, 1, 0] = math.nan
+        res = certify_module._equiisoclinic(overlaps, products, 1e-8)
+        assert math.isnan(res.deviation) and not res.flag
 
 
 class TestCertify:

@@ -10,13 +10,19 @@ from grasspack.construct import DifferenceSet, harmonic_etf, random_frame, regul
 from grasspack.linalg import FieldTag, NumericalError
 from grasspack.metrics import FusionFrame, _flat, _gram_to_frame, _pair_blocks
 from grasspack.optimize import (
+    _MAX_HALVINGS,
+    SMOOTHING,
+    SPECTRAL_SMOOTHING_POWER,
+    STEP_SIZE,
     Criterion,
     PackConfig,
     _descend,
     POLISH_CUT,
     POLISH_MARGIN,
     _polish_stage,
+    _qr_columns,
     _structural_projection,
+    _worst_overlap,
     pack,
     polish,
     smoothed_objective,
@@ -168,6 +174,89 @@ class TestObjective:
         huge = np.full((2, 2, 1), 1e200)
         with pytest.raises(NumericalError, match="at the starting frame$"):
             _descend(huge, PackConfig(iterations=5, restarts=1), 5)
+
+
+def _two_evaluation_descend(mats, config, budget, target=None):
+    """Reference descent: each trial is scored by smoothed_objective, and the
+    gradient of the accepted trial is taken again at the next iteration."""
+    fval = smoothed_objective(mats, config.criterion)
+    if not math.isfinite(fval):
+        raise NumericalError(f"non-finite objective {fval!r} at the starting frame")
+    if target is not None:
+        n, _, c = mats.shape
+        surrogate = c ** (1.0 / SPECTRAL_SMOOTHING_POWER) if config.criterion is Criterion.SPECTRAL_OVERLAP else 1.0
+        pretest = surrogate * target + math.log(n * (n - 1) // 2) / SMOOTHING
+    used = 0
+    for _ in range(budget):
+        _, grads = smoothed_objective_and_gradient(mats, config.criterion)
+        if not grads.any():
+            break
+        step = STEP_SIZE
+        accepted = False
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = _qr_columns(mats - step * grads)
+            ftrial = smoothed_objective(trial, config.criterion)
+            if math.isfinite(ftrial) and ftrial < fval:
+                mats, fval = trial, ftrial
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        used += 1
+        if target is not None and fval <= pretest:
+            if _worst_overlap(mats, config.criterion) <= target:
+                return mats, used, True
+    return mats, used, False
+
+
+DESCENT_CASES = [
+    (R, 4, 2, 3, Criterion.CHORDAL_OVERLAP),
+    (C, 3, 1, 7, Criterion.CHORDAL_OVERLAP),
+    (R, 6, 2, 16, Criterion.CHORDAL_OVERLAP),
+    (R, 4, 2, 3, Criterion.SPECTRAL_OVERLAP),
+]
+
+
+class TestDescend:
+    @pytest.mark.parametrize("field, d, c, n, criterion", DESCENT_CASES)
+    def test_one_objective_and_gradient_per_trial(self, monkeypatch, field, d, c, n, criterion):
+        # One evaluation at the start and one per trial, each trial after
+        # one retraction; the objective-only path is never taken.
+        counts = {"obj_grad": 0, "obj": 0, "qr": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(optimize, "smoothed_objective_and_gradient", spy("obj_grad", smoothed_objective_and_gradient))
+        monkeypatch.setattr(optimize, "smoothed_objective", spy("obj", smoothed_objective))
+        monkeypatch.setattr(optimize, "_qr_columns", spy("qr", _qr_columns))
+        _, used, _ = _descend(random_frame(field, d, c, n, 0).array, PackConfig(criterion=criterion), 60)
+        assert used > 0
+        assert counts["qr"] >= used
+        assert counts["obj"] == 0
+        assert counts["obj_grad"] == counts["qr"] + 1
+
+    @pytest.mark.parametrize("field, d, c, n, criterion", DESCENT_CASES)
+    @pytest.mark.parametrize("with_target", [False, True])
+    def test_matches_the_two_evaluation_descent(self, field, d, c, n, criterion, with_target):
+        config = PackConfig(criterion=criterion)
+        start = random_frame(field, d, c, n, 0).array
+        budget = 200
+        target = None
+        if with_target:
+            # The worst overlap halfway through: the pre-test passes and
+            # the true value is computed before the descent stops there.
+            target = _worst_overlap(_two_evaluation_descend(start, config, budget // 2)[0], criterion)
+        expected, expected_used, expected_reached = _two_evaluation_descend(start, config, budget, target)
+        mats, used, reached = _descend(start, config, budget, target)
+        assert mats.tobytes() == expected.tobytes()
+        assert (used, reached) == (expected_used, expected_reached)
+        assert reached is with_target
 
 
 class TestPack:
