@@ -22,14 +22,12 @@ from .linalg import DEFAULT_TOL, _check_tol
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.certify.cross_gramian.
 from .metrics import (  # noqa: F401
-    _PRODUCT_CHUNK,
     FusionFrame,
     _frobenius_sq,
     _pair_blocks,
     _pair_products,
     _require_vectors,
     _spectral_max,
-    _sum_sq,
     cross_gramian,
     fusion_frame_operator,
 )
@@ -120,19 +118,8 @@ def is_equichordal(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquichordalResul
     return _equichordal(_frobenius_sq(_pair_blocks(f.array)), tol)
 
 
-def _equiisoclinic(overlaps: np.ndarray, products: np.ndarray, tol: float) -> EquiisoclinicResult:
-    # ||G* G - sigma_sq I||_F from the products M = G* G, with sigma_sq
-    # taken off the diagonal before squaring. Expanding the square as
-    # ||M||_F^2 - 2 sigma_sq ||G||_F^2 + c sigma_sq^2 would cancel near an
-    # EITFF to about sqrt(eps), which is the default tolerance. The
-    # difference is formed _PRODUCT_CHUNK pairs at a time, so only one
-    # norm per pair outlives it; the max still propagates a NaN.
-    c = products.shape[-1]
-    sigma_sq = float(np.mean(overlaps / c))
-    shift = sigma_sq * np.eye(c)
-    dev_sq = np.empty(len(products))
-    for start in range(0, len(products), _PRODUCT_CHUNK):
-        dev_sq[start : start + _PRODUCT_CHUNK] = _sum_sq(products[start : start + _PRODUCT_CHUNK] - shift)
+def _equiisoclinic(dev_sq: np.ndarray, sigma_sq: float, c: int, tol: float) -> EquiisoclinicResult:
+    # The max propagates a NaN from any pair.
     deviation = float(np.sqrt(dev_sq.max()))
     flag = deviation <= tol * max(1.0, sigma_sq * math.sqrt(c))
     return EquiisoclinicResult(flag=flag, sigma_sq=sigma_sq, deviation=deviation)
@@ -145,11 +132,13 @@ def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicR
     estimated as the mean of (1/c)||G||_F^2 over pairs. For orthonormal
     bases this is the projection identity P2 P1 P2 = sigma_sq P2, since
     P2 P1 P2 - sigma_sq P2 = A2 (G* G - sigma_sq I) A2*. The deviation
-    is taken from the products G* G, so no SVD is taken.
+    ||G* G - sigma_sq I||_F is formed chunk by chunk
+    (``metrics._pair_products``), so no SVD is taken and no stack of the
+    products G* G is kept.
     """
     _check_tol(tol)
-    overlaps, products = _pair_products(_pair_blocks(f.array))
-    return _equiisoclinic(overlaps, products, tol)
+    _, _, dev_sq, sigma_sq = _pair_products(_pair_blocks(f.array))
+    return _equiisoclinic(dev_sq, sigma_sq, f.c, tol)
 
 
 def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
@@ -163,18 +152,20 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     n exceeds the Gerzon limit.
 
     Every pairwise number comes from one pass over the pair blocks: the
-    overlaps ||G||_F^2, the products G* G, and the worst spectral overlap,
-    for which only the pairs that can hold it get an SVD (none at c = 1).
+    overlaps ||G||_F^2, the norms ||M||_F^2 and ||M - sigma_sq I||_F^2 of
+    M = G* G, formed chunk by chunk with no stack of the products kept,
+    and the worst spectral overlap, for which only the pairs that can
+    hold it get an SVD (none at c = 1).
     """
     _check_tol(tol)
     n, d, c = f.n, f.d, f.c
 
     tight = is_tight_fusion_frame(f, tol)
     blocks = _pair_blocks(f.array)
-    overlaps, products = _pair_products(blocks)
-    max_spec = _spectral_max(blocks, overlaps, products)
+    overlaps, fourth, dev_sq, sigma_sq = _pair_products(blocks)
+    max_spec = _spectral_max(blocks, overlaps, fourth)
     chordal = _equichordal(overlaps, tol)
-    iso = _equiisoclinic(overlaps, products, tol)
+    iso = _equiisoclinic(dev_sq, sigma_sq, c, tol)
 
     beta_expected = bounds.simplex_bound_gram(n, d, c)
     sigma_expected = bounds.eitff_bound(n, d, c)

@@ -269,70 +269,76 @@ def _pair_blocks(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frobenius_sq(blocks: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix in a (..., c, c) stack."""
-    return np.einsum("...kl,...kl->...", blocks.conj(), blocks).real
-
-
-def _sum_sq(stack: np.ndarray) -> np.ndarray:
+def _frobenius_sq(stack: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix in a C-contiguous (..., c, c) stack.
 
-    The squares are summed over a float64 view of the real and imaginary
-    parts, so unlike :func:`_frobenius_sq` a complex stack is not copied
-    to conjugate it. The pair overlaps stay with :func:`_frobenius_sq`,
-    so the objective and the chordal certificate fields keep their sums.
+    The squares are summed over a real view of the real and imaginary
+    parts, so a complex stack is not copied to conjugate it. That view
+    needs a contiguous last axis, which C order gives.
     """
-    parts = stack.view(np.float64)
+    parts = stack.view(stack.real.dtype)
     return np.einsum("...kl,...kl->...", parts, parts)
 
 
-# Pairs per step of the loop that forms G* G in _pair_products: at c = 2
-# over C each step's four temporaries take about 1 MB.
+# Pairs per step of the loop in _pair_products: at c = 2 over C each
+# step's temporaries take about 1 MB.
 _PRODUCT_CHUNK = 4096
 
 
-def _pair_products(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """||G||_F^2 and M = G* G for each cross-Gramian G of a (P, c, c) stack.
+def _pair_products(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The per-pair statistics of M = G* G over a C-contiguous (P, c, c) stack of cross-Gramians G.
 
-    At c = 1, M is the overlap itself.
+    Returns ||G||_F^2, ||M||_F^2 and ||M - sigma_sq I||_F^2 for each pair,
+    and sigma_sq, the mean of ||G||_F^2 / c. M is formed _PRODUCT_CHUNK
+    pairs at a time and only its two norms outlive the chunk, so no
+    (P, c, c) stack of products is allocated. At c = 1, M is the overlap
+    itself.
     """
     overlaps = _frobenius_sq(blocks)
     c = blocks.shape[-1]
+    sigma_sq = float(np.mean(overlaps / c))
     if c == 1:
-        return overlaps, overlaps[:, None, None]
+        return overlaps, overlaps * overlaps, np.square(overlaps - sigma_sq), sigma_sq
     # M[i, j] = sum_k conj(G[k, i]) G[k, j], one broadcast product per row
-    # k of G, _PRODUCT_CHUNK pairs at a time. Each chunk is copied to a
-    # (c, c, pairs) layout first, so that every ufunc loops along the
-    # pairs: on the (pairs, c, c) layout its inner loops run over c
-    # entries only, about 3x slower at c = 2. A stacked matmul makes one
-    # BLAS call per c x c block, slower still, and temporaries the size
-    # of the whole stack would raise certify's peak memory.
-    products = np.empty(blocks.shape, blocks.dtype)
+    # k of G. Each chunk is copied to a (c, c, pairs) layout first, so
+    # that every ufunc loops along the pairs: on the (pairs, c, c) layout
+    # its inner loops run over c entries only, about 3x slower at c = 2.
+    # A stacked matmul makes one BLAS call per c x c block, slower still.
+    # sigma_sq comes off the diagonal before squaring: expanding the
+    # square as ||M||_F^2 - 2 sigma_sq ||G||_F^2 + c sigma_sq^2 would
+    # cancel near an EITFF to about sqrt(eps), which is the default
+    # tolerance.
+    shift = sigma_sq * np.eye(c)
+    fourth = np.empty(len(blocks))
+    dev_sq = np.empty(len(blocks))
     for start in range(0, len(blocks), _PRODUCT_CHUNK):
         g = blocks[start : start + _PRODUCT_CHUNK].transpose(1, 2, 0).copy()
         conj = g.conj()
         m = conj[0, :, None] * g[0, None, :]
         for k in range(1, c):
             m += conj[k, :, None] * g[k, None, :]
-        products[start : start + _PRODUCT_CHUNK] = m.transpose(2, 0, 1)
-    return overlaps, products
+        m = np.ascontiguousarray(m.transpose(2, 0, 1))
+        fourth[start : start + _PRODUCT_CHUNK] = _frobenius_sq(m)
+        m -= shift
+        dev_sq[start : start + _PRODUCT_CHUNK] = _frobenius_sq(m)
+    return overlaps, fourth, dev_sq, sigma_sq
 
 
-def _spectral_max(blocks: np.ndarray, overlaps: np.ndarray, products: np.ndarray) -> float:
+def _spectral_max(blocks: np.ndarray, overlaps: np.ndarray, fourth: np.ndarray) -> float:
     """The largest squared spectral norm over a (P, c, c) stack of cross-Gramians.
 
-    ``overlaps`` and ``products`` are the stack's :func:`_pair_products`.
-    At c = 1 the maximum is the largest overlap. For c >= 2 each pair's
-    s_max^2 lies between sum(s^4)/sum(s^2) = ||M||_F^2/||G||_F^2 and
-    sqrt(sum(s^4)) = ||M||_F, so only the pairs whose upper bound reaches
-    the largest lower bound can hold the maximum, and only they are
-    passed to the SVD. The SVD treats each block on its own, so the
-    maximum is the one an SVD of every pair would give.
+    ``overlaps`` and ``fourth`` are the stack's ||G||_F^2 and ||M||_F^2
+    with M = G* G, from :func:`_pair_products`. At c = 1 the maximum is
+    the largest overlap. For c >= 2 each pair's s_max^2 lies between
+    sum(s^4)/sum(s^2) = ||M||_F^2/||G||_F^2 and sqrt(sum(s^4)) = ||M||_F,
+    so only the pairs whose upper bound reaches the largest lower bound
+    can hold the maximum, and only they are passed to the SVD. The SVD
+    treats each block on its own, so the maximum is the one an SVD of
+    every pair would give.
     """
     c = blocks.shape[-1]
     if c == 1:
         return float(overlaps.max())
-    fourth = _sum_sq(products)
     # A pair with ||G||_F = 0 has M = 0, so flooring the divisor at the
     # smallest normal number only turns its 0/0 into a lower bound of 0.
     lower = float((fourth / np.maximum(overlaps, np.finfo(np.float64).tiny)).max())

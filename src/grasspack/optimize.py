@@ -234,7 +234,8 @@ def _worst_overlap(x: np.ndarray, criterion: Criterion) -> float:
     blocks = _pair_blocks(x)
     if criterion is Criterion.CHORDAL_OVERLAP:
         return float(_frobenius_sq(blocks).max())
-    return _spectral_max(blocks, *_pair_products(blocks))
+    overlaps, fourth, _, _ = _pair_products(blocks)
+    return _spectral_max(blocks, overlaps, fourth)
 
 
 def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from grasspack.certify import (
 )
 from grasspack.construct import harmonic_etf, orthoplex, random_frame, regular_simplex, tensor_eitff, DifferenceSet
 from grasspack.linalg import FieldTag, Mat, NumericalError
-from grasspack.metrics import FusionFrame, SubspaceBasis, _pair_blocks, _pair_products, _sum_sq, coherence, cross_gramian
+from grasspack import metrics
+from grasspack.metrics import FusionFrame, SubspaceBasis, _pair_blocks, _pair_products, coherence, cross_gramian
 
 from conftest import random_unitary
 
@@ -126,17 +128,37 @@ class TestEquiisoclinic:
     @pytest.mark.parametrize("field", [R, C], ids=["R", "C"])
     def test_deviation_over_several_chunks(self, field, monkeypatch):
         # 66 pairs in chunks of 7: the last chunk is partial. Each pair's
-        # norm is the one the whole-stack difference gives, and a NaN in
-        # any chunk reaches the deviation.
-        overlaps, products = _pair_products(_pair_blocks(random_frame(field, 6, 2, 12, 0).array))
-        sigma_sq = float(np.mean(overlaps / 2))
-        expected = float(np.sqrt(_sum_sq(products - sigma_sq * np.eye(2)).max()))
-        monkeypatch.setattr(certify_module, "_PRODUCT_CHUNK", 7)
-        assert certify_module._equiisoclinic(overlaps, products, 1e-8).deviation == expected
-        products = products.copy()
-        products[60, 1, 0] = math.nan
-        res = certify_module._equiisoclinic(overlaps, products, 1e-8)
+        # norms are the ones one chunk gives and the ones a stacked
+        # matmul M = G* G gives, and a NaN in any block reaches the
+        # deviation.
+        blocks = _pair_blocks(random_frame(field, 6, 2, 12, 0).array)
+        whole = _pair_products(blocks)
+        monkeypatch.setattr(metrics, "_PRODUCT_CHUNK", 7)
+        chunked = _pair_products(blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
+        _, fourth, dev_sq, sigma_sq = chunked
+        m = blocks.conj().swapaxes(-2, -1) @ blocks
+        assert np.allclose(fourth, np.linalg.norm(m, axis=(1, 2)) ** 2, rtol=0.0, atol=1e-13)
+        assert np.allclose(dev_sq, np.linalg.norm(m - sigma_sq * np.eye(2), axis=(1, 2)) ** 2, rtol=0.0, atol=1e-13)
+        blocks = blocks.copy()
+        blocks[60, 1, 0] = math.nan
+        _, _, dev_sq, sigma_sq = _pair_products(blocks)
+        res = certify_module._equiisoclinic(dev_sq, sigma_sq, 2, 1e-8)
         assert math.isnan(res.deviation) and not res.flag
+
+
+def test_pair_products_keep_no_stack_of_products():
+    # The 79,800 pairs of a (C,20,2,400) frame: their blocks take 5.1 MB,
+    # and only per-pair norms and one chunk's temporaries may outlive a
+    # step of the loop.
+    blocks = _pair_blocks(random_frame(C, 20, 2, 400, 0).array)
+    tracemalloc.start()
+    try:
+        _pair_products(blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < blocks.nbytes
 
 
 class TestCertify:

@@ -203,6 +203,31 @@ class TestOtherPairLoops:
         assert close(coherence(f), ref)
 
 
+def ref_frobenius_sq(b):
+    """Squared Frobenius norms as the conjugate product sums them."""
+    return np.einsum("...kl,...kl->...", b.conj(), b).real
+
+
+@pytest.mark.parametrize("c", (1, 2, 3, 4))
+@pytest.mark.parametrize("field", [R, C], ids=["R", "C"])
+def test_frobenius_sq_against_the_conjugate_product(rng, field, c):
+    # Over R and at c = 1 the two sums are the same. Over C at c >= 2 both
+    # add the same 2c^2 squares in different orders; the forward error of
+    # each is at most c^2 eps of the sum, so they differ by at most 2c^2
+    # eps relative.
+    stacks = [
+        np.stack([gaussian_matrix(c, c, field, rng) for _ in range(500)]),
+        _pair_blocks(random_frame(field, 20, c, 60, c).array),
+    ]
+    for stack in stacks:
+        ref = ref_frobenius_sq(stack)
+        got = metrics._frobenius_sq(stack)
+        if field is R or c == 1:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.all(np.abs(got - ref) <= 2 * c * c * np.finfo(np.float64).eps * ref)
+
+
 # (field, d, c, n) of frames too large for one product of at most
 # metrics._SERIAL_PRODUCT multiply-adds, so their pair blocks come from
 # several products.
