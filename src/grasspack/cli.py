@@ -16,8 +16,8 @@ Subcommands::
 object on stdout. Frames are stored one per file in a JSON format whose
 decimal serialization round-trips every entry bit-exactly.
 
-Exit codes: 0 success, 1 invalid input (with a one-line diagnostic
-naming the failing field), 2 numerical failure.
+Exit codes: 0 success, 1 invalid input or an unwritable ``-o`` (with a
+one-line diagnostic naming the failing field), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import re
 import sys
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,15 +42,11 @@ from .metrics import FusionFrame
 __all__ = ["frame_from_json_obj", "frame_to_json_obj", "load_frame", "main", "run", "save_frame"]
 
 
-class _UsageError(ValueError):
-    """Invalid command line; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route through the
     # package's invalid-input path (exit 1) instead.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(x) -> str:
@@ -67,7 +63,7 @@ def _parse_field(value: str) -> FieldTag:
     try:
         return FieldTag(value)
     except ValueError:
-        raise _UsageError(f"field: must be 'R' or 'C', got {value!r}") from None
+        raise ValueError(f"field: must be 'R' or 'C', got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +92,11 @@ def _parse_entries(entries: list, real: bool, where: str) -> np.ndarray:
     if not _well_typed(entries, real):
         bad = next(e for e in entries if not _well_typed([e], real))
         kind = "real frames need numeric entries" if real else "complex frames need [re, im] entries"
-        raise _UsageError(f"{where}: {kind}, got {bad!r}")
+        raise ValueError(f"{where}: {kind}, got {bad!r}")
     try:
         return np.array(entries, dtype=np.float64)
     except OverflowError:
-        raise _UsageError(f"{where}: matrix entries must be finite, got an integer too large for a float") from None
+        raise ValueError(f"{where}: matrix entries must be finite, got an integer too large for a float") from None
 
 
 def frame_from_json_obj(obj, tol: float = DEFAULT_TOL) -> FusionFrame:
@@ -111,35 +107,35 @@ def frame_from_json_obj(obj, tol: float = DEFAULT_TOL) -> FusionFrame:
     name the failing field (bases are numbered from 1).
     """
     if not isinstance(obj, dict):
-        raise _UsageError("frame: top-level value must be an object")
+        raise ValueError("frame: top-level value must be an object")
     for key in ("field", "d", "c", "n", "bases"):
         if key not in obj:
-            raise _UsageError(f"{key}: missing")
+            raise ValueError(f"{key}: missing")
     field = _parse_field(obj["field"])
     for key in ("d", "c", "n"):
         _check_count(obj[key], f"{key}:", 1)
     d, c, n = obj["d"], obj["c"], obj["n"]
     if c > d:
-        raise _UsageError(f"c: subspace dimension {c} exceeds ambient dimension {d}")
+        raise ValueError(f"c: subspace dimension {c} exceeds ambient dimension {d}")
     if not isinstance(obj["bases"], list) or len(obj["bases"]) != n:
         found = len(obj["bases"]) if isinstance(obj["bases"], list) else "non-list"
-        raise _UsageError(f"bases: declared n = {n} but found {found}")
+        raise ValueError(f"bases: declared n = {n} but found {found}")
 
     for idx, rows in enumerate(obj["bases"], start=1):
         name = f"bases[{idx}]"
         if not isinstance(rows, list) or len(rows) != d:
             found = len(rows) if isinstance(rows, list) else "non-list"
-            raise _UsageError(f"{name}: expected {d} rows, found {found}")
+            raise ValueError(f"{name}: expected {d} rows, found {found}")
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != c:
                 found = len(row) if isinstance(row, list) else "non-list"
-                raise _UsageError(f"{name}: row {i + 1} has {found} entries, expected {c}")
+                raise ValueError(f"{name}: row {i + 1} has {found} entries, expected {c}")
 
     real = field is FieldTag.REAL
     entries = list(chain.from_iterable(chain.from_iterable(obj["bases"])))
     try:
         flat = _parse_entries(entries, real, "bases")
-    except _UsageError:
+    except ValueError:
         # The first basis that fails on its own names the diagnostic.
         per = d * c
         for k in range(n):
@@ -149,7 +145,7 @@ def frame_from_json_obj(obj, tol: float = DEFAULT_TOL) -> FusionFrame:
     try:
         return FusionFrame.from_arrays(stack, field, tol)
     except ValueError as exc:
-        raise _UsageError(re.sub(r"^basis (\d+):", r"bases[\1]:", str(exc))) from None
+        raise ValueError(re.sub(r"^basis (\d+):", r"bases[\1]:", str(exc))) from None
 
 
 def load_frame(path: str, tol: float = DEFAULT_TOL) -> FusionFrame:
@@ -157,13 +153,13 @@ def load_frame(path: str, tol: float = DEFAULT_TOL) -> FusionFrame:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"frame file: {exc}") from None
+        raise ValueError(f"frame file: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise _UsageError(f"frame file: not UTF-8 text ({exc})") from None
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"frame file: not valid JSON ({exc})") from None
+        raise ValueError(f"frame file: not UTF-8 text ({exc})") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
+        raise ValueError(f"frame file: not valid JSON ({exc})") from None
     except RecursionError:
-        raise _UsageError("frame file: JSON nested too deeply to parse") from None
+        raise ValueError("frame file: JSON nested too deeply to parse") from None
     return frame_from_json_obj(obj, tol)
 
 
@@ -179,26 +175,38 @@ def save_frame(f: FusionFrame, path: str) -> None:
 # Subcommands
 
 
-def _emit_frame(frame: FusionFrame, output: str | None, as_json: bool, summary: dict) -> None:
-    if output:
-        save_frame(frame, output)
-        if as_json:
-            print(json.dumps({**summary, "output": output}))
-        else:
-            for key, val in summary.items():
-                print(f"{key}: {_fmt(val)}")
-            print(f"frame written: {output}")
-    else:
-        # Without an output path the frame itself is the output.
-        print(json.dumps(frame_to_json_obj(frame)))
+def _report(args, payload: dict, lines: Iterable[str]) -> int:
+    """Print a command's result: ``payload`` as one JSON object under
+    ``--format json``, else ``lines``, which only human output consumes.
+    Returns the exit code 0."""
+    print(json.dumps(payload) if args.format == "json" else "\n".join(lines))
+    return 0
+
+
+def _emit_frame(args, frame: FusionFrame, summary: dict, certificate: Certificate | None = None) -> int:
+    """Report a new frame with its summary: written to ``-o`` and named, or
+    printed inline. A search passes its certificate, which joins the JSON
+    payload; a construction without ``-o`` prints the frame alone. A failed
+    write is invalid input, naming ``output``.
+    """
+    lines = [f"{key}: {_fmt(val)}" for key, val in summary.items()]
+    if certificate is not None:
+        summary = {**summary, "certificate": certificate.as_dict()}
+    if args.output:
+        try:
+            save_frame(frame, args.output)
+        except OSError as exc:
+            raise ValueError(f"output: {exc}") from None
+        return _report(args, {**summary, "output": args.output}, [*lines, f"frame written: {args.output}"])
+    obj = frame_to_json_obj(frame)
+    frame_line = map(json.dumps, [obj])  # lazy: serialized for human output only
+    if certificate is None:
+        return _report(args, obj, frame_line)
+    return _report(args, {**summary, "frame": obj}, chain(lines, frame_line))
 
 
 def _cmd_bounds(args) -> int:
     report = bounds_mod.bound_report(args.n, args.d, args.c, _parse_field(args.field))
-    if args.format == "json":
-        print(json.dumps(report.as_dict()))
-        return 0
-    print(f"parameters: n={report.n} d={report.d} c={report.c} field={report.field.value}")
     rows = [
         ("welch", report.welch),
         ("simplex chordal", report.simplex_chordal),
@@ -210,50 +218,43 @@ def _cmd_bounds(args) -> int:
         ("traceless dim", report.traceless_dim),
     ]
     note_key = {"welch": "welch", "orthoplex chordal": "orthoplex", "orthoplex gram": "orthoplex"}
+    lines = [f"parameters: n={report.n} d={report.d} c={report.c} field={report.field.value}"]
     for label, value in rows:
         line = f"{label + ':':<19}{_fmt(value)}"
         note = report.notes.get(note_key.get(label, ""), "")
         if value is None and note:
             line += f"  ({note})"
-        print(line)
-    return 0
-
-
-def _print_certificate(cert: Certificate, frame: FusionFrame, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(cert.as_dict()))
-        return
-    print(
-        f"frame: n={frame.n} d={frame.d} c={frame.c} field={frame.field.value} "
-        f"tolerance={cert.tolerance:.1g}"
-    )
-    print(f"is_tight:         {_fmt(cert.is_tight)}  (residual {_fmt(cert.tight_residual)}, alpha {_fmt(cert.alpha)})")
-    print(f"is_equichordal:   {_fmt(cert.is_equichordal)}  (beta {_fmt(cert.beta)}, deviation {_fmt(cert.beta_deviation)})")
-    print(f"is_equiisoclinic: {_fmt(cert.is_equiisoclinic)}  (sigma_sq {_fmt(cert.sigma_sq)}, deviation {_fmt(cert.sigma_deviation)})")
-    print(f"is_ectff:         {_fmt(cert.is_ectff)}")
-    print(f"is_eitff:         {_fmt(cert.is_eitff)}")
-    print(f"simplex_gap:      {_fmt(cert.simplex_gap)}")
-    print(f"eitff_gap:        {_fmt(cert.eitff_gap)}")
-    print(f"orthoplex_gap:    {_fmt(cert.orthoplex_gap)}")
+        lines.append(line)
+    return _report(args, report.as_dict(), lines)
 
 
 def _cmd_certify(args) -> int:
     _check_tol(args.tol, "tol:")
     frame = load_frame(args.frame, args.tol)
     if frame.n < 2:
-        raise _UsageError(f"n: certification needs n >= 2, got {frame.n}")
+        raise ValueError(f"n: certification needs n >= 2, got {frame.n}")
     cert = certify(frame, args.tol)
-    _print_certificate(cert, frame, args.format == "json")
-    return 0
+    lines = [
+        f"frame: n={frame.n} d={frame.d} c={frame.c} field={frame.field.value} tolerance={cert.tolerance:.1g}",
+        f"is_tight:         {_fmt(cert.is_tight)}  (residual {_fmt(cert.tight_residual)}, alpha {_fmt(cert.alpha)})",
+        f"is_equichordal:   {_fmt(cert.is_equichordal)}  (beta {_fmt(cert.beta)}, deviation {_fmt(cert.beta_deviation)})",
+        f"is_equiisoclinic: {_fmt(cert.is_equiisoclinic)}  (sigma_sq {_fmt(cert.sigma_sq)}, deviation {_fmt(cert.sigma_deviation)})",
+        f"is_ectff:         {_fmt(cert.is_ectff)}",
+        f"is_eitff:         {_fmt(cert.is_eitff)}",
+        f"simplex_gap:      {_fmt(cert.simplex_gap)}",
+        f"eitff_gap:        {_fmt(cert.eitff_gap)}",
+        f"orthoplex_gap:    {_fmt(cert.orthoplex_gap)}",
+    ]
+    return _report(args, cert.as_dict(), lines)
 
 
 def _cmd_angles(args) -> int:
     frame = load_frame(args.frame)
     for label, idx in (("i", args.i), ("j", args.j)):
         if not 1 <= idx <= frame.n:
-            raise _UsageError(f"{label}: index {idx} out of range 1..{frame.n}")
+            raise ValueError(f"{label}: index {idx} out of range 1..{frame.n}")
     if args.i == args.j:
-        raise _UsageError(f"j: indices must differ, got i = j = {args.i}")
+        raise ValueError(f"j: indices must differ, got i = j = {args.i}")
     b1 = frame.bases[args.i - 1]
     b2 = frame.bases[args.j - 1]
     thetas = metrics_mod.principal_angles(b1, b2).thetas
@@ -265,21 +266,19 @@ def _cmd_angles(args) -> int:
         "spectral_distance_sq": metrics_mod.spectral_distance_sq(b1, b2),
         "geodesic_distance": metrics_mod.geodesic_distance(b1, b2),
     }
-    if args.format == "json":
-        print(json.dumps(payload))
-        return 0
-    print(f"pair ({args.i}, {args.j}) of n={frame.n}")
-    print("principal angles (rad): " + " ".join(_fmt(t) for t in payload["principal_angles"]))
-    for key in ("chordal_distance_sq", "spectral_distance_sq", "geodesic_distance"):
-        print(f"{key}: {_fmt(payload[key])}")
-    return 0
+    lines = [
+        f"pair ({args.i}, {args.j}) of n={frame.n}",
+        "principal angles (rad): " + " ".join(_fmt(t) for t in payload["principal_angles"]),
+        *(f"{key}: {_fmt(payload[key])}" for key in ("chordal_distance_sq", "spectral_distance_sq", "geodesic_distance")),
+    ]
+    return _report(args, payload, lines)
 
 
 def _parse_index_set(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise _UsageError(f"set: expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"set: expected comma-separated integers, got {text!r}") from None
 
 
 def _cmd_construct(args) -> int:
@@ -294,8 +293,7 @@ def _cmd_construct(args) -> int:
         etf = load_frame(args.etf)
         frame = construct_mod.tensor_eitff(etf, args.c)
     summary = {"kind": args.kind, "n": frame.n, "d": frame.d, "c": frame.c, "field": frame.field.value}
-    _emit_frame(frame, args.output, args.format == "json", summary)
-    return 0
+    return _emit_frame(args, frame, summary)
 
 
 def _cmd_pack(args) -> int:
@@ -317,24 +315,7 @@ def _cmd_pack(args) -> int:
         "is_ectff": result.certificate.is_ectff,
         "is_eitff": result.certificate.is_eitff,
     }
-    if args.output:
-        save_frame(result.frame, args.output)
-    if args.format == "json":
-        payload = dict(summary)
-        payload["certificate"] = result.certificate.as_dict()
-        if args.output:
-            payload["output"] = args.output
-        else:
-            payload["frame"] = frame_to_json_obj(result.frame)
-        print(json.dumps(payload))
-        return 0
-    for key, val in summary.items():
-        print(f"{key}: {_fmt(val)}")
-    if args.output:
-        print(f"frame written: {args.output}")
-    else:
-        print(json.dumps(frame_to_json_obj(result.frame)))
-    return 0
+    return _emit_frame(args, result.frame, summary, result.certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +393,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(list(argv))
         return args.handler(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -180,14 +180,10 @@ def smoothed_objective(
     ``mats`` is a sequence of n d x c arrays or one (n, d, c) array.
     Orthonormal columns are not required, which makes this directly
     usable in finite-difference checks. The log-sum-exp is shifted by
-    the running max for overflow safety.
+    the running max for overflow safety. This is the value
+    :func:`smoothed_objective_and_gradient` returns.
     """
-    _check_criterion(criterion)
-    # Overflow to inf on pathological inputs is deliberate: the value
-    # comes back non-finite instead of raising.
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, _, _ = _pair_values(_pair_blocks(np.asarray(mats)), criterion)
-        return _soft_max(vals, smoothing)[0]
+    return smoothed_objective_and_gradient(mats, criterion, smoothing)[0]
 
 
 def smoothed_objective_and_gradient(
@@ -208,20 +204,23 @@ def smoothed_objective_and_gradient(
     (spectral, M = G* G, t = Tr[M^p]), and H_j'j = H_jj'*. Gradient j' is
     then the sum over j of X_j H_jj': one product of the d x nc matrix of
     all bases with the nc x nc block matrix H.
+
+    Overflow on pathological inputs is deliberate and quiet: the value
+    and gradient come back non-finite, without a warning or a raise.
     """
     _check_criterion(criterion)
     x = np.asarray(mats)
     n, d, c = x.shape
-    blocks = _pair_blocks(x)
-    vals, m_pm1, t = _pair_values(blocks, criterion)
-    objective, weights = _soft_max(vals, smoothing)
-    if criterion is Criterion.CHORDAL_OVERLAP:
-        h = (2.0 * weights)[:, None, None] * blocks
-    else:
-        with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        blocks = _pair_blocks(x)
+        vals, m_pm1, t = _pair_values(blocks, criterion)
+        objective, weights = _soft_max(vals, smoothing)
+        if criterion is Criterion.CHORDAL_OVERLAP:
+            h = (2.0 * weights)[:, None, None] * blocks
+        else:
             coef = np.where(t > 0.0, 2.0 * weights * t ** (1.0 / SPECTRAL_SMOOTHING_POWER - 1.0), 0.0)
-        h = coef[:, None, None] * (blocks @ m_pm1)
-    grad = _flat(x) @ _block_matrix(h, n, False)
+            h = coef[:, None, None] * (blocks @ m_pm1)
+        grad = _flat(x) @ _block_matrix(h, n, False)
     return objective, grad.reshape(d, n, c).transpose(1, 0, 2)
 
 
@@ -264,10 +263,7 @@ def _descend(
     objective. Only a finite trial value is accepted, so the objective
     stays finite once the start's is.
     """
-    # Overflow to inf on pathological inputs is deliberate: a non-finite
-    # start raises and a non-finite trial is rejected.
-    with np.errstate(over="ignore", invalid="ignore"):
-        fval, grads = smoothed_objective_and_gradient(mats, config.criterion)
+    fval, grads = smoothed_objective_and_gradient(mats, config.criterion)
     if not math.isfinite(fval):
         raise NumericalError(f"non-finite objective {fval!r} at the starting frame")
     if target is not None:
@@ -282,8 +278,7 @@ def _descend(
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial = _qr_columns(mats - step * grads)
-            with np.errstate(over="ignore", invalid="ignore"):
-                ftrial, gtrial = smoothed_objective_and_gradient(trial, config.criterion)
+            ftrial, gtrial = smoothed_objective_and_gradient(trial, config.criterion)
             if math.isfinite(ftrial) and ftrial < fval:
                 mats, fval, grads = trial, ftrial, gtrial
                 accepted = True

@@ -68,6 +68,10 @@ class TestFrameFileFormat:
         loaded = load_frame(path)
         assert loaded == frame
 
+    def test_save_into_a_directory_raises_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            save_frame(regular_simplex(3), str(tmp_path))
+
     def test_loader_names_failing_basis(self):
         obj = frame_to_json_obj(regular_simplex(3))
         obj["bases"][1][0][0] = 5.0  # breaks unit norm of basis 2
@@ -484,13 +488,60 @@ class TestFrameFileRejections:
         path.write_text("[" * 200_000)
         assert _rejected(capsys, str(path)).startswith("error: frame file: ")
 
+    def test_integer_literal_too_long_to_convert(self, tmp_path, capsys):
+        # json.load refuses integer literals of more than 4300 digits with a
+        # plain ValueError, not a JSONDecodeError.
+        obj = frame_to_json_obj(regular_simplex(3))
+        text = json.dumps(obj).replace(json.dumps(obj["bases"][1][0][0]), "1" * 5000, 1)
+        path = tmp_path / "frame.json"
+        path.write_text(text)
+        assert _rejected(capsys, str(path)).startswith("error: frame file: not valid JSON")
+
     def test_certify_single_subspace(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         path.write_text(json.dumps({"field": "R", "d": 2, "c": 1, "n": 1, "bases": [[[1.0], [0.0]]]}))
         assert _rejected(capsys, str(path)) == "error: n: certification needs n >= 2, got 1\n"
 
 
+WRITING_COMMANDS = {
+    "construct": ["construct", "simplex", "--n", "3"],
+    "pack": ["pack", "--d", "2", "--c", "1", "--n", "3", "--iters", "20", "--restarts", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_is_invalid_input(tmp_path, capsys, command, fmt, target):
+    path = str(tmp_path / "missing" / "frame.json") if target == "missing-directory" else str(tmp_path)
+    code, out, err = run_capture(capsys, *WRITING_COMMANDS[command], "-o", path, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: output: ")
+    assert len(err.splitlines()) == 1
+
+
 class TestHumanOutput:
+    def test_bounds(self, capsys):
+        code, out, err = run_capture(capsys, "bounds", "--n", "3", "--d", "4", "--c", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "parameters: n=3 d=4 c=2 field=R",
+            "welch:             n/a  (requires c = 1)",
+            "simplex chordal:   1.5",
+            "simplex gram:      0.5",
+            "eitff spectral:    0.25",
+            "orthoplex chordal: n/a  (requires n > 10 (Gerzon limit for d = 4 over R))",
+            "orthoplex gram:    n/a  (requires n > 10 (Gerzon limit for d = 4 over R))",
+            "gerzon limit:      10",
+            "traceless dim:     9",
+        ]
+
+    def test_construct_summary(self, tmp_path, capsys):
+        path = str(tmp_path / "s.json")
+        code, out, err = run_capture(capsys, "construct", "simplex", "--n", "3", "-o", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["kind: simplex", "n: 3", "d: 2", "c: 1", "field: R", f"frame written: {path}"]
+
     def test_certify(self, tmp_path, capsys):
         path = str(tmp_path / "s.json")
         save_frame(regular_simplex(3), path)

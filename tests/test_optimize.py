@@ -169,6 +169,13 @@ class TestObjective:
         assert grads[k][idx].imag == pytest.approx(fd_im, rel=1e-4, abs=1e-10)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    def test_overflow_is_quiet_and_non_finite(self, criterion):
+        huge = np.full((2, 2, 1), 1e200)
+        value, _ = smoothed_objective_and_gradient(huge, criterion)
+        assert not math.isfinite(value)
+
+    @pytest.mark.filterwarnings("error")
     def test_descend_rejects_non_finite_start(self):
         # The overflow itself must stay quiet: any warning fails the test.
         huge = np.full((2, 2, 1), 1e200)
