@@ -16,14 +16,16 @@ Subcommands::
 object on stdout. Frames are stored one per file in a JSON format whose
 decimal serialization round-trips every entry bit-exactly.
 
-Exit codes: 0 success, 1 invalid input or an unwritable ``-o`` (with a
-one-line diagnostic naming the failing field), 2 numerical failure.
+Exit codes: 0 success, 1 invalid input or an unwritable ``-o`` or stdout
+(with a one-line diagnostic naming the failing field), 2 numerical
+failure or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from itertools import chain
@@ -178,8 +180,12 @@ def save_frame(f: FusionFrame, path: str) -> None:
 def _report(args, payload: dict, lines: Iterable[str]) -> int:
     """Print a command's result: ``payload`` as one JSON object under
     ``--format json``, else ``lines``, which only human output consumes.
-    Returns the exit code 0."""
-    print(json.dumps(payload) if args.format == "json" else "\n".join(lines))
+    Returns the exit code 0; a failed write names ``stdout``."""
+    text = json.dumps(payload) if args.format == "json" else "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        raise ValueError(f"stdout: {exc}") from None
     return 0
 
 
@@ -399,13 +405,25 @@ def run(argv: Sequence[str]) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory ({exc})", file=sys.stderr)
+        return 2
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:
+            print(f"error: stdout: {exc}", file=sys.stderr)
+            code = 1
+        # The interpreter flushes stdout again at exit; devnull keeps that quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

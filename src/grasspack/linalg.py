@@ -162,16 +162,9 @@ class Mat(_FieldArray):
             raise ValueError(f"matrix must be 2-d and non-empty, got shape {arr.shape}")
         self.array, self.field = _field_array(arr, field)
 
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
     def __repr__(self) -> str:
-        return f"Mat({self.rows}x{self.cols}, {self.field.value})"
+        rows, cols = self.array.shape
+        return f"Mat({rows}x{cols}, {self.field.value})"
 
 
 def _svd(arr: np.ndarray, compute_uv: bool = True):

@@ -169,9 +169,6 @@ class PrincipalAngles:
         arr.setflags(write=False)
         self.thetas = arr
 
-    def __len__(self) -> int:
-        return self.thetas.size
-
     def __repr__(self) -> str:
         return f"PrincipalAngles({np.array2string(self.thetas, precision=6)})"
 

@@ -33,8 +33,8 @@ sets the ECTFF or EITFF flag and its true worst overlap is no worse than
 the descent's; otherwise the descent resumes, with no target, on the
 rest of its iterations. Past the Gerzon limit (``"orthoplex"``)
 and when nc < d (``"trivial"``) there is no polish. Each restart runs to
-its own stop. Once one ends within the tolerance of the governing bound,
-no later restart could beat it by more than that tolerance, so the
+its own stop. Once one ends within ``DEFAULT_TOL`` of the governing
+bound, no later restart could beat it by more than that, so the
 remaining restarts are skipped. The best restart run wins, with ties
 broken by the lowest restart index.
 
@@ -47,14 +47,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import bounds
 from .certify import Certificate, certify
 from .construct import random_frame
-from .linalg import FieldTag, NumericalError, _check_count, _check_tol, _qr_columns, _svd
+from .linalg import DEFAULT_TOL, FieldTag, NumericalError, _check_count, _qr_columns, _svd
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.optimize.cross_gramian.
 from .metrics import (  # noqa: F401
@@ -93,8 +93,8 @@ _MAX_HALVINGS = 20
 
 # The polish stage near a "simplex" or "eitff" bound: a descent hands over
 # once its true worst overlap is within POLISH_CUT of the bound. The
-# polish stops once its certificate holds at POLISH_MARGIN times the
-# tolerance, or after POLISH_SWEEPS sweeps.
+# polish stops once its certificate holds at POLISH_MARGIN times
+# DEFAULT_TOL, or after POLISH_SWEEPS sweeps.
 POLISH_CUT = 1e-2
 POLISH_SWEEPS = 200
 POLISH_MARGIN = 0.01
@@ -125,13 +125,12 @@ class PackConfig:
     iterations: int = 2000
     restarts: int = 10
     seed: int = 0
-    tolerance: float = 1e-8
+    tolerance: ClassVar[float] = DEFAULT_TOL  # not a field; bench/workloads.py reads it
 
     def __post_init__(self):
         for name, low in (("iterations", 1), ("restarts", 1), ("seed", 0)):
             _check_count(getattr(self, name), name, low)
         _check_criterion(self.criterion)
-        _check_tol(self.tolerance, "tolerance")
 
 
 @dataclass(frozen=True)
@@ -140,25 +139,10 @@ class PackResult:
     achieved: float  # true (unsmoothed) criterion value of the frame
     bound: float  # the governing lower bound for (n, d, c, field)
     bound_name: str  # "simplex", "eitff", "orthoplex" or "trivial"
-    gap: float  # achieved - bound; >= -tolerance always
+    gap: float  # achieved - bound; >= -DEFAULT_TOL always
     certificate: Certificate
     iterations_used: int  # descent iterations of the winning restart; polish sweeps are not counted
     restart_index: int
-
-
-def _pair_values(blocks: np.ndarray, criterion: Criterion) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Overlap of each cross-Gramian in a (P, c, c) stack.
-
-    Chordal: ||G||_F^2. Spectral: (Tr[M^p])^(1/p) with M = G* G, returned
-    together with M^(p-1) and Tr[M^p], which the gradient reuses.
-    """
-    if criterion is Criterion.CHORDAL_OVERLAP:
-        return _frobenius_sq(blocks), None, None
-    m = blocks.conj().swapaxes(-2, -1) @ blocks
-    m_pm1 = np.linalg.matrix_power(m, SPECTRAL_SMOOTHING_POWER - 1)
-    t = np.einsum("...kl,...lk->...", m_pm1, m).real
-    # Round-off can leave t slightly negative; NaN passes through.
-    return np.maximum(t, 0.0) ** (1.0 / SPECTRAL_SMOOTHING_POWER), m_pm1, t
 
 
 def _soft_max(vals: np.ndarray, smoothing: float) -> tuple[float, np.ndarray]:
@@ -213,11 +197,15 @@ def smoothed_objective_and_gradient(
     n, d, c = x.shape
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         blocks = _pair_blocks(x)
-        vals, m_pm1, t = _pair_values(blocks, criterion)
-        objective, weights = _soft_max(vals, smoothing)
         if criterion is Criterion.CHORDAL_OVERLAP:
+            objective, weights = _soft_max(_frobenius_sq(blocks), smoothing)
             h = (2.0 * weights)[:, None, None] * blocks
         else:
+            m = blocks.conj().swapaxes(-2, -1) @ blocks
+            m_pm1 = np.linalg.matrix_power(m, SPECTRAL_SMOOTHING_POWER - 1)
+            t = np.einsum("...kl,...lk->...", m_pm1, m).real
+            # Round-off can leave t slightly negative; NaN passes through.
+            objective, weights = _soft_max(np.maximum(t, 0.0) ** (1.0 / SPECTRAL_SMOOTHING_POWER), smoothing)
             coef = np.where(t > 0.0, 2.0 * weights * t ** (1.0 / SPECTRAL_SMOOTHING_POWER - 1.0), 0.0)
             h = coef[:, None, None] * (blocks @ m_pm1)
         grad = _flat(x) @ _block_matrix(h, n, False)
@@ -321,15 +309,15 @@ def _polish_stage(
     it near the spectral set of tight fusion frames (nc/d times a rank-d
     projection); Tropp, Dhillon, Heath and Strohmer, IEEE Trans. Inf.
     Theory 2005, and Dhillon, Heath, Strohmer and Tropp, Exp. Math. 2008.
-    Stops once the certificate at POLISH_MARGIN * tolerance sets the flag
-    of the bound (ECTFF or EITFF) with a gap of at most that much, so the
-    result holds its certificate with margin. Otherwise it stops after
-    POLISH_SWEEPS sweeps and then needs the flag at the tolerance itself.
+    Stops once the certificate at POLISH_MARGIN * DEFAULT_TOL sets the
+    flag of the bound (ECTFF or EITFF) with a gap of at most that much, so
+    the result holds its certificate with margin. Otherwise it stops after
+    POLISH_SWEEPS sweeps and then needs the flag at DEFAULT_TOL itself.
     Returns the polished frame and its true worst overlap when the flag
     is set and that overlap is at most ``achieved``; otherwise None.
     """
     flag, gap_field = _STRUCTURES[governing[1]]
-    strict = POLISH_MARGIN * config.tolerance
+    strict = POLISH_MARGIN * DEFAULT_TOL
     polished = frame
     for _ in range(POLISH_SWEEPS):
         cert = certify(polished, strict)
@@ -338,7 +326,7 @@ def _polish_stage(
         mats = _gram_to_frame(_structural_projection(_pair_blocks(polished.array), governing), frame.n, frame.d)
         polished = FusionFrame.from_arrays(mats, frame.field)
     else:
-        if not getattr(certify(polished, config.tolerance), flag):
+        if not getattr(certify(polished, DEFAULT_TOL), flag):
             return None
     value = worst_overlap(polished, config.criterion)
     return (polished, value) if value <= achieved else None
@@ -369,7 +357,7 @@ def _restart(
 
 
 def _result(
-    frame: FusionFrame, achieved: float, governing: tuple[float, str], tolerance: float, used: int, restart_index: int
+    frame: FusionFrame, achieved: float, governing: tuple[float, str], used: int, restart_index: int
 ) -> PackResult:
     """A PackResult: the frame with its gap to the governing bound (value, name) and its certificate."""
     value, name = governing
@@ -379,7 +367,7 @@ def _result(
         bound=value,
         bound_name=name,
         gap=achieved - value,
-        certificate=certify(frame, tolerance),
+        certificate=certify(frame, DEFAULT_TOL),
         iterations_used=used,
         restart_index=restart_index,
     )
@@ -396,8 +384,8 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
     certifies as an ECTFF or EITFF and is no worse (see
     :func:`_polish_stage`); otherwise the descent runs on. The search
     ends early after the first restart whose achieved value is within
-    ``config.tolerance`` of the governing bound, since no later restart
-    can beat it by more than that. ``iterations_used`` counts the winning
+    ``DEFAULT_TOL`` of the governing bound, since no later restart can
+    beat it by more than that. ``iterations_used`` counts the winning
     restart's descent iterations only, not polish sweeps. Identical
     configs produce bit-identical results. Invalid (n, d, c) raise
     ValueError from ``bounds.governing_bound`` before any search starts.
@@ -410,10 +398,10 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
         frame, achieved, used = _restart(start.array, field, governing, config)
         if best is None or achieved < best[0]:
             best = (achieved, r, frame, used)
-        if achieved - governing[0] <= config.tolerance:
+        if achieved - governing[0] <= DEFAULT_TOL:
             break
     achieved, restart_index, frame, used = best
-    return _result(frame, achieved, governing, config.tolerance, used, restart_index)
+    return _result(frame, achieved, governing, used, restart_index)
 
 
 def polish(f: FusionFrame, config: PackConfig = PackConfig()) -> PackResult:
@@ -431,4 +419,4 @@ def polish(f: FusionFrame, config: PackConfig = PackConfig()) -> PackResult:
     frame, achieved, used = _restart(f.array, f.field, governing, config)
     if achieved > initial_achieved:
         frame, achieved, used = f, initial_achieved, 0
-    return _result(frame, achieved, governing, config.tolerance, used, 0)
+    return _result(frame, achieved, governing, used, 0)

@@ -1,8 +1,15 @@
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grasspack
 from grasspack.certify import certify
 from grasspack.cli import frame_from_json_obj, frame_to_json_obj, load_frame, run, save_frame
 from grasspack.construct import DifferenceSet, harmonic_etf, regular_simplex, tensor_eitff
@@ -371,6 +378,17 @@ class TestPackCommand:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_out_of_memory_maps_to_exit_2(self, capsys, monkeypatch):
+        message = "Unable to allocate 931. GiB for an array with shape (1000000, 1000000) and data type bool"
+
+        def boom(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("grasspack.optimize.pack", boom)
+        code, out, err = run_capture(capsys, "pack", "--d", "2", "--c", "1", "--n", "1000000")
+        assert (code, out) == (2, "")
+        assert err == f"numerical failure: out of memory ({message})\n"
+
 
 class TestParsing:
     def test_unknown_subcommand(self, capsys):
@@ -518,6 +536,46 @@ def test_unwritable_output_is_invalid_input(tmp_path, capsys, command, fmt, targ
     assert (code, out) == (1, "")
     assert err.startswith("error: output: ")
     assert len(err.splitlines()) == 1
+
+
+class _FailingStdout(io.StringIO):
+    def __init__(self, exc: OSError):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize(
+    "exc",
+    [BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))],
+    ids=["broken-pipe", "no-space"],
+)
+def test_unwritable_stdout_is_invalid_input(capsys, monkeypatch, fmt, exc):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(exc))
+    code = run(["bounds", "--n", "3", "--d", "4", "--c", "2", "--format", fmt])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: stdout: {exc}\n"
+
+
+def test_closed_stdout_pipe_exits_1_in_one_line():
+    # The frame is about 2 MB of JSON, far more than a pipe holds, so the
+    # command is still writing when the reader closes its end.
+    src = str(Path(grasspack.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grasspack.cli", "construct", "simplex", "--n", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{"field": '
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.decode() == f"error: stdout: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
 class TestHumanOutput:

@@ -29,6 +29,7 @@ from grasspack.metrics import (
 from grasspack.optimize import (
     SPECTRAL_SMOOTHING_POWER,
     Criterion,
+    _soft_max,
     smoothed_objective,
     smoothed_objective_and_gradient,
     worst_overlap,
@@ -142,6 +143,45 @@ class TestAgainstPairLoops:
     def test_worst_overlap(self, n, field, criterion, c):
         f = frame(field, n, c)
         assert close(worst_overlap(f, criterion), ref_worst_overlap(f, criterion))
+
+
+def staged_objective_and_gradient(x, criterion, smoothing):
+    """The objective in two stages: every pair value first (with the
+    spectral criterion's M^(p-1) and t), then the gradient blocks. The
+    same operations in the same order as the library's one pass."""
+    n, d, c = x.shape
+    p = SPECTRAL_SMOOTHING_POWER
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        blocks = _pair_blocks(x)
+        if criterion is Criterion.CHORDAL_OVERLAP:
+            vals = metrics._frobenius_sq(blocks)
+        else:
+            m = blocks.conj().swapaxes(-2, -1) @ blocks
+            m_pm1 = np.linalg.matrix_power(m, p - 1)
+            t = np.einsum("...kl,...lk->...", m_pm1, m).real
+            vals = np.maximum(t, 0.0) ** (1.0 / p)
+        objective, weights = _soft_max(vals, smoothing)
+        if criterion is Criterion.CHORDAL_OVERLAP:
+            h = (2.0 * weights)[:, None, None] * blocks
+        else:
+            coef = np.where(t > 0.0, 2.0 * weights * t ** (1.0 / p - 1.0), 0.0)
+            h = coef[:, None, None] * (blocks @ m_pm1)
+        grad = metrics._flat(x) @ metrics._block_matrix(h, n, False)
+    return objective, grad.reshape(d, n, c).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("c", CS)
+@pytest.mark.parametrize("field", [R, C], ids=["R", "C"])
+@pytest.mark.parametrize("criterion", list(Criterion), ids=lambda c: c.value)
+def test_objective_and_gradient_bit_for_bit(rng, field, c, criterion):
+    d, n = 5, 7
+    general = np.stack([gaussian_matrix(d, c, field, rng) for _ in range(n)]) / math.sqrt(d)
+    for x in (frame(field, n, c).array, general):
+        ref_obj, ref_grad = staged_objective_and_gradient(x, criterion, 200.0)
+        obj, grad = smoothed_objective_and_gradient(x, criterion, 200.0)
+        assert obj.hex() == ref_obj.hex()
+        assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 @pytest.mark.parametrize("c", CS)

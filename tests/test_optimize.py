@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from grasspack import construct, optimize
 from grasspack.bounds import eitff_bound, governing_bound, simplex_bound_gram
 from grasspack.construct import DifferenceSet, harmonic_etf, random_frame, regular_simplex, tensor_eitff
-from grasspack.linalg import FieldTag, NumericalError
+from grasspack.linalg import DEFAULT_TOL, FieldTag, NumericalError
 from grasspack.metrics import FusionFrame, _flat, _gram_to_frame, _pair_blocks
 from grasspack.optimize import (
     _MAX_HALVINGS,
@@ -18,7 +19,6 @@ from grasspack.optimize import (
     PackConfig,
     _descend,
     POLISH_CUT,
-    POLISH_MARGIN,
     _polish_stage,
     _qr_columns,
     _structural_projection,
@@ -44,19 +44,11 @@ class TestConfig:
             {"restarts": 0},
             {"iterations": -1},
             {"restarts": -1},
-            {"tolerance": -1.0},
-            {"tolerance": 0.0},
         ],
     )
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             PackConfig(**kwargs)
-
-    @pytest.mark.parametrize("name", ["tolerance"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_rejects_non_finite(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-            PackConfig(**{name: value})
 
     @pytest.mark.parametrize(
         "name, value",
@@ -74,11 +66,6 @@ class TestConfig:
     def test_rejects_non_integer_counts(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
             PackConfig(**{name: value})
-
-    @pytest.mark.parametrize("value", ["1e-8", None, True])
-    def test_rejects_non_real_tolerance(self, value):
-        with pytest.raises(ValueError, match=f"^tolerance must be finite and positive, got {re.escape(repr(value))}$"):
-            PackConfig(tolerance=value)
 
     @pytest.mark.parametrize("value", ["chordal", None, 1])
     def test_rejects_non_criterion(self, value):
@@ -99,6 +86,12 @@ class TestConfig:
         f = random_frame(R, 4, 2, 3, 0)
         with pytest.raises(ValueError, match=f"^criterion must be a Criterion, got {re.escape(repr(value))}$"):
             call(f, value)
+
+    def test_tolerance_is_not_a_setting(self):
+        assert [f.name for f in dataclasses.fields(PackConfig)] == ["criterion", "iterations", "restarts", "seed"]
+        assert PackConfig().tolerance == DEFAULT_TOL
+        with pytest.raises(TypeError):
+            PackConfig(tolerance=1e-14)
 
     def test_accepts_numpy_integers(self):
         config = PackConfig(iterations=np.int64(3), restarts=np.int32(2), seed=np.uint64(2**63))
@@ -381,7 +374,7 @@ class TestStopping:
         calls = _count_restarts(monkeypatch)
         result = pack(field, d, c, n, config)
         assert len(calls) == config.restarts
-        assert result.gap > config.tolerance
+        assert result.gap > DEFAULT_TOL
         assert result.achieved == achieved
         assert result.restart_index == restart_index
         assert result.iterations_used == used
@@ -590,19 +583,20 @@ class TestPackPolish:
         assert result.frame.array.tobytes() == mats.tobytes()
 
     def test_below_round_off_the_polish_certifies_at_the_tolerance(self, monkeypatch):
-        # The margin POLISH_MARGIN * 1e-14 is below round-off, so the polish
-        # runs all POLISH_SWEEPS sweeps and then needs the flag at 1e-14 itself.
-        config = PackConfig(tolerance=1e-14)
+        # A margin of 1e-16 is below round-off, so the polish runs all
+        # POLISH_SWEEPS sweeps and then needs the flag at DEFAULT_TOL itself.
+        margin = 1e-8
+        monkeypatch.setattr(optimize, "POLISH_MARGIN", margin)
         tols = []
         real = optimize.certify
         monkeypatch.setattr("grasspack.optimize.certify", lambda f, tol: tols.append(tol) or real(f, tol))
         polishes = _count_polishes(monkeypatch)
-        result = pack(R, 4, 2, 3, config)
+        result = pack(R, 4, 2, 3)
         assert result.certificate.is_ectff
         assert len(polishes) == 1
         # Sweeps at the margin, the polish's check at the tolerance, then the result's certificate.
-        assert set(tols[:-2]) == {POLISH_MARGIN * config.tolerance}
-        assert tols[-2:] == [config.tolerance, config.tolerance]
+        assert tols[:-2] == [margin * DEFAULT_TOL] * optimize.POLISH_SWEEPS
+        assert tols[-2:] == [DEFAULT_TOL, DEFAULT_TOL]
 
     def test_a_converging_polish_runs_on_to_its_certificate(self):
         # This polish converges slowly at first and then faster; it certifies
