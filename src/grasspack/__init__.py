@@ -7,23 +7,66 @@ equiangular tight frames), construct the known optimal packings, and
 search numerically for new ones. A command-line interface lives in
 ``grasspack.cli``.
 
-Each module's ``__all__`` is the one list of its public names; the
-package re-exports their union.
+Each module's ``__all__`` is the one list of its public names. The
+package's names resolve lazily: ``import grasspack`` loads no module,
+and the first public name, ``__all__`` or ``dir()`` imports the six
+modules and binds the union of their lists. A submodule name resolves
+to that submodule alone, so ``grasspack.bounds`` and the closed-form
+bounds run without numpy. ``grasspack.certify`` is the function
+``certify``, whichever import came first.
 """
 
-from .bounds import *  # noqa: F403
-from .bounds import __all__ as _bounds_all
-from .certify import *  # noqa: F403
-from .certify import __all__ as _certify_all
-from .construct import *  # noqa: F403
-from .construct import __all__ as _construct_all
-from .linalg import *  # noqa: F403
-from .linalg import __all__ as _linalg_all
-from .metrics import *  # noqa: F403
-from .metrics import __all__ as _metrics_all
-from .optimize import *  # noqa: F403
-from .optimize import __all__ as _optimize_all
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = sorted({*_bounds_all, *_certify_all, *_construct_all, *_linalg_all, *_metrics_all, *_optimize_all})
+_MODULES = ("bounds", "certify", "construct", "linalg", "metrics", "optimize")
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # The import system binds each submodule onto its package once it
+        # has loaded. Where the submodule has a public function of its own
+        # name (certify), the package keeps the function.
+        if (
+            isinstance(value, types.ModuleType)
+            and value.__name__ == f"{self.__name__}.{name}"
+            and name in getattr(value, "__all__", ())
+        ):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+
+def _load() -> None:
+    names = globals()
+    if "__all__" in names:  # loaded: binding again would undo a rebound name
+        return
+    union: set[str] = set()
+    for m in _MODULES:
+        module = importlib.import_module(f"{__name__}.{m}")
+        names.update({attr: getattr(module, attr) for attr in module.__all__})
+        union.update(module.__all__)
+    names["__all__"] = sorted(union)
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        # That module alone, as `from . import bounds` asks for it. Importing
+        # it binds the module, or its same-named function, through _Package.
+        importlib.import_module(f"{__name__}.{name}")
+    elif name == "__all__" or not name.startswith("_"):
+        _load()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    _load()
+    return sorted(globals())

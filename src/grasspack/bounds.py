@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field as dataclass_field
 from typing import NamedTuple
 
-from .linalg import FieldTag, _check_count, _check_field
+from ._rules import FieldTag, _check_count, _check_field
 
 __all__ = [
     "BoundReport",

@@ -29,19 +29,30 @@ import os
 import re
 import sys
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
+# numpy and the layers above bounds are imported by the handlers and frame
+# functions that use them, so `bounds` starts without numpy and `certify`
+# and `angles` never load the search.
 from . import bounds as bounds_mod
-from . import construct as construct_mod
-from . import metrics as metrics_mod
-from . import optimize as optimize_mod
-from .certify import Certificate, certify
-from .linalg import DEFAULT_TOL, FieldTag, NumericalError, _check_count, _check_tol
-from .metrics import FusionFrame
+from ._rules import DEFAULT_TOL, Criterion, FieldTag, NumericalError, _check_count, _check_tol
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .certify import Certificate
+    from .metrics import FusionFrame
 
 __all__ = ["frame_from_json_obj", "frame_to_json_obj", "load_frame", "main", "run", "save_frame"]
+
+
+def _print_stdout(text: str, end: str = "\n") -> None:
+    """Print ``text`` to stdout and flush it; a failed write is invalid
+    input naming ``stdout``."""
+    try:
+        print(text, end=end, flush=True)
+    except OSError as exc:
+        raise ValueError(f"stdout: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,6 +60,13 @@ class _Parser(argparse.ArgumentParser):
     # package's invalid-input path (exit 1) instead.
     def error(self, message):
         raise ValueError(message)
+
+    # argparse drops a failed write of --help or usage; report it instead.
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _print_stdout(message, end="")
+        else:
+            super()._print_message(message, file)
 
 
 def _fmt(x) -> str:
@@ -74,6 +92,8 @@ def _parse_field(value: str) -> FieldTag:
 
 def frame_to_json_obj(f: FusionFrame) -> dict:
     """FrameFile object: real entries as numbers, complex as [re, im] pairs."""
+    import numpy as np
+
     x = f.array
     entries = x if f.field is FieldTag.REAL else np.stack([x.real, x.imag], axis=-1)
     return {"field": f.field.value, "d": f.d, "c": f.c, "n": f.n, "bases": entries.tolist()}
@@ -91,6 +111,8 @@ def _well_typed(entries: list, real: bool) -> bool:
 
 def _parse_entries(entries: list, real: bool, where: str) -> np.ndarray:
     """Entries in row-major order as float64; an [re, im] pair becomes a trailing axis."""
+    import numpy as np
+
     if not _well_typed(entries, real):
         bad = next(e for e in entries if not _well_typed([e], real))
         kind = "real frames need numeric entries" if real else "complex frames need [re, im] entries"
@@ -108,6 +130,10 @@ def frame_from_json_obj(obj, tol: float = DEFAULT_TOL) -> FusionFrame:
     re-verified to have orthonormal columns within ``tol``; diagnostics
     name the failing field (bases are numbered from 1).
     """
+    import numpy as np
+
+    from .metrics import FusionFrame
+
     if not isinstance(obj, dict):
         raise ValueError("frame: top-level value must be an object")
     for key in ("field", "d", "c", "n", "bases"):
@@ -181,11 +207,7 @@ def _report(args, payload: dict, lines: Iterable[str]) -> int:
     """Print a command's result: ``payload`` as one JSON object under
     ``--format json``, else ``lines``, which only human output consumes.
     Returns the exit code 0; a failed write names ``stdout``."""
-    text = json.dumps(payload) if args.format == "json" else "\n".join(lines)
-    try:
-        print(text, flush=True)
-    except OSError as exc:
-        raise ValueError(f"stdout: {exc}") from None
+    _print_stdout(json.dumps(payload) if args.format == "json" else "\n".join(lines))
     return 0
 
 
@@ -235,6 +257,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .certify import certify
+
     _check_tol(args.tol, "tol:")
     frame = load_frame(args.frame, args.tol)
     if frame.n < 2:
@@ -255,6 +279,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_angles(args) -> int:
+    from . import metrics as metrics_mod
+
     frame = load_frame(args.frame)
     for label, idx in (("i", args.i), ("j", args.j)):
         if not 1 <= idx <= frame.n:
@@ -288,6 +314,8 @@ def _parse_index_set(text: str) -> list[int]:
 
 
 def _cmd_construct(args) -> int:
+    from . import construct as construct_mod
+
     if args.kind == "simplex":
         frame = construct_mod.regular_simplex(args.n)
     elif args.kind == "orthoplex":
@@ -303,8 +331,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_pack(args) -> int:
+    from . import optimize as optimize_mod
+
     config = optimize_mod.PackConfig(
-        criterion=optimize_mod.Criterion(args.criterion),
+        criterion=Criterion(args.criterion),
         iterations=args.iters,
         restarts=args.restarts,
         seed=args.seed,
@@ -377,7 +407,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--criterion", choices=[k.value for k in optimize_mod.Criterion], default="chordal")
+    p.add_argument("--criterion", choices=[k.value for k in Criterion], default="chordal")
     p.add_argument("--seed", type=int, default=0, help="seed of the random starting frames (default 0)")
     p.add_argument(
         "--restarts",
@@ -417,11 +447,10 @@ def main() -> None:
     code = run(sys.argv[1:])
     try:
         sys.stdout.flush()
-    except OSError as exc:
-        if code == 0:
-            print(f"error: stdout: {exc}", file=sys.stderr)
-            code = 1
-        # The interpreter flushes stdout again at exit; devnull keeps that quiet.
+    except OSError:
+        # run() flushes each write and has reported the one that failed,
+        # whose text is still buffered. The interpreter flushes stdout again
+        # at exit; devnull keeps that quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

@@ -1,11 +1,15 @@
 """Dense-matrix kernel over the real and complex fields.
 
-Every higher layer (subspace metrics, packing bounds, certification, the
+Every higher layer (subspace metrics, certification, constructions, the
 numerical search) runs on the handful of operations defined here: the
 storage rule of every field-tagged array, the field-tagged matrix type,
 singular values and the SVD, the self-adjoint eigendecomposition, and QR
 orthonormalization with a fixed sign convention. An SVD or
 eigendecomposition that fails to converge raises :class:`NumericalError`.
+That exception, :class:`FieldTag`, ``DEFAULT_TOL`` and the rules of the
+field, count and tolerance arguments are defined in the numpy-free
+``_rules``, so that the bounds and the command-line parser run without
+numpy, and are re-exported here.
 One rule holds for every field-tagged array in the package (a ``Mat``, a
 subspace basis, a frame's (n, d, c) stack): entries are finite and
 stored read-only as float64 over R and complex128 over C, and
@@ -16,11 +20,9 @@ across threads.
 
 from __future__ import annotations
 
-import enum
-import math
-import numbers
-
 import numpy as np
+
+from ._rules import DEFAULT_TOL, FieldTag, NumericalError, _check_count, _check_field, _check_tol  # noqa: F401
 
 __all__ = [
     "DEFAULT_TOL",
@@ -30,50 +32,6 @@ __all__ = [
     "orthonormalize",
     "singular_values",
 ]
-
-# Global default tolerance, calibrated for scale-1 quantities in double
-# precision. Every tolerance-taking operation accepts an override.
-DEFAULT_TOL = 1e-8
-
-
-class NumericalError(RuntimeError):
-    """A numerical routine failed (SVD non-convergence, non-finite values)."""
-
-
-class FieldTag(enum.Enum):
-    """Scalar field of a matrix: the reals or the complex numbers."""
-
-    REAL = "R"
-    COMPLEX = "C"
-
-
-# The rules of the three kinds of scalar argument a caller passes in: a
-# field, a count and a tolerance. Each failure is a ValueError whose
-# message starts with the name of the argument. Counts and tolerances are
-# tested for the exact type int or float first: isinstance against a
-# numbers ABC costs about ten times as much, and certify checks counts on
-# every call.
-
-
-def _check_field(field) -> None:
-    """A field is a FieldTag."""
-    if not isinstance(field, FieldTag):
-        raise ValueError(f"field must be a FieldTag, got {field!r}")
-
-
-def _check_count(value, name: str, low: int | None = None) -> None:
-    """A count is an integer that is not a bool; with ``low``, also at least ``low``."""
-    integer = type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
-    if not integer or (low is not None and value < low):
-        at_least = "" if low is None else f" >= {low}"
-        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
-
-
-def _check_tol(tol, name: str = "tol") -> None:
-    """A tolerance is a real number that is not a bool, finite and positive."""
-    real = type(tol) is float or (not isinstance(tol, bool) and isinstance(tol, numbers.Real))
-    if not real or not 0.0 < tol < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
 
 
 def _field_array(

@@ -44,7 +44,6 @@ the governing bound and carry a structure certificate.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
@@ -52,6 +51,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from . import bounds
+from ._rules import Criterion
 from .certify import Certificate, certify
 from .construct import random_frame
 from .linalg import DEFAULT_TOL, FieldTag, NumericalError, _check_count, _qr_columns, _svd
@@ -104,13 +104,6 @@ _STRUCTURES = {
     "simplex": ("is_ectff", "simplex_gap"),
     "eitff": ("is_eitff", "eitff_gap"),
 }
-
-
-class Criterion(enum.Enum):
-    """Which pairwise overlap the search minimizes the maximum of."""
-
-    CHORDAL_OVERLAP = "chordal"  # max ||G||_F^2 over pairs
-    SPECTRAL_OVERLAP = "spectral"  # max ||G||_2^2 over pairs
 
 
 def _check_criterion(criterion) -> None:

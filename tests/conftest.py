@@ -1,9 +1,19 @@
 """Shared helpers for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grasspack
 from grasspack.linalg import FieldTag, _qr_columns
+
+
+def child_env(**extra: str) -> dict:
+    """Environment for a child interpreter that imports this checkout's grasspack."""
+    src = str(Path(grasspack.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
 
 
 def random_unitary(n: int, field: FieldTag, rng: np.random.Generator) -> np.ndarray:

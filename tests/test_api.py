@@ -3,13 +3,17 @@
 import importlib
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import grasspack as gp
-from grasspack.cli import frame_from_json_obj, frame_to_json_obj
+from grasspack.cli import frame_from_json_obj, frame_to_json_obj, save_frame
+
+from conftest import child_env
 
 MODULES = ("bounds", "certify", "construct", "linalg", "metrics", "optimize")
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -29,6 +33,48 @@ def test_every_public_name_is_its_module_object():
             assert getattr(gp, attr) is getattr(module, attr), f"{name}.{attr}"
     assert gp.certify is importlib.import_module("grasspack.certify").certify
     assert callable(gp.certify)
+
+
+# Each runs first in a fresh interpreter: the package's names must not
+# depend on which import or call came before. FRAME is a saved simplex.
+FRESH = {
+    "import-loads-nothing": (
+        "import grasspack\n"
+        "assert [m for m in sys.modules if m == 'numpy' or m.startswith('grasspack.')] == []"
+    ),
+    "attribute-access": (
+        "import grasspack as gp, types\n"
+        "assert isinstance(gp.certify, types.FunctionType)\n"
+        "assert gp.certify is sys.modules['grasspack.certify'].certify\n"
+        "assert gp.optimize is sys.modules['grasspack.optimize']"
+    ),
+    "import-submodule-as": (
+        "import grasspack.certify as m, types\n"
+        "assert isinstance(m, types.FunctionType) and m is sys.modules['grasspack.certify'].certify"
+    ),
+    "from-import": "from grasspack import certify\nassert certify is sys.modules['grasspack.certify'].certify",
+    "after-cli-certify": (
+        "import grasspack, grasspack.cli\n"
+        "assert grasspack.cli.run(['certify', FRAME, '--format', 'json']) == 0\n"
+        "assert grasspack.certify is sys.modules['grasspack.certify'].certify"
+    ),
+    "dir-first": "import grasspack\nassert set(dir(grasspack)) >= set(grasspack.__all__)",
+    "star-import": (
+        "ns = {}\n"
+        "exec('from grasspack import *', ns)\n"
+        "import grasspack\n"
+        "assert sorted(set(ns) - {'__builtins__'}) == grasspack.__all__"
+    ),
+}
+
+
+@pytest.mark.parametrize("snippet", FRESH.values(), ids=FRESH)
+def test_package_names_under_every_import_order(tmp_path, snippet):
+    path = str(tmp_path / "simplex.json")
+    save_frame(gp.regular_simplex(3), path)
+    code = f"import sys\nFRAME = {path!r}\n{snippet}\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def quick_start() -> str:

@@ -4,17 +4,17 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import grasspack
 from grasspack.certify import certify
 from grasspack.cli import frame_from_json_obj, frame_to_json_obj, load_frame, run, save_frame
 from grasspack.construct import DifferenceSet, harmonic_etf, regular_simplex, tensor_eitff
 from grasspack.linalg import FieldTag, NumericalError
 from grasspack.metrics import FusionFrame
+
+from conftest import child_env
 
 
 def run_capture(capsys, *argv):
@@ -563,19 +563,65 @@ def test_unwritable_stdout_is_invalid_input(capsys, monkeypatch, fmt, exc):
 def test_closed_stdout_pipe_exits_1_in_one_line():
     # The frame is about 2 MB of JSON, far more than a pipe holds, so the
     # command is still writing when the reader closes its end.
-    src = str(Path(grasspack.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "grasspack.cli", "construct", "simplex", "--n", "300"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     assert proc.stdout.read(10) == b'{"field": '
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err.decode() == f"error: stdout: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["pack", "--help"]], ids=["help", "pack-help"])
+def test_help_into_a_full_device_exits_1_in_one_line(argv, unbuffered):
+    # Unbuffered, the help text's own write fails, an error argparse alone
+    # drops (exit 0); buffered, the flush after it fails.
+    env = child_env(PYTHONUNBUFFERED="1")
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "grasspack.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == f"error: stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+# A module each command loads, and the ones it may not: `bounds` is
+# closed-form arithmetic, and reading or measuring a frame needs neither the
+# constructors nor the search.
+LOADS = {
+    "bounds": (["bounds", "--n", "3", "--d", "4", "--c", "2", "--format", "json"], "grasspack.bounds", {"numpy"}),
+    "certify": (["certify", "FRAME"], "grasspack.certify", {"grasspack.optimize", "grasspack.construct"}),
+    "angles": (["angles", "FRAME", "--i", "1", "--j", "2"], "grasspack.metrics", {"grasspack.optimize", "grasspack.construct"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_each_command_loads_only_the_layers_it_uses(tmp_path, command):
+    path = str(tmp_path / "s.json")
+    save_frame(regular_simplex(3), path)
+    argv, used, absent = LOADS[command]
+    code = (
+        "import json, sys\n"
+        "from grasspack.cli import run\n"
+        "code = run(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+    )
+    argv = [path if a == "FRAME" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=child_env(), timeout=120
+    )
+    exit_code, loaded = json.loads(proc.stderr)
+    assert exit_code == 0
+    assert used in loaded
+    assert absent.isdisjoint(loaded)
 
 
 class TestHumanOutput:
