@@ -10,10 +10,11 @@ search numerically for new ones. A command-line interface lives in
 Each module's ``__all__`` is the one list of its public names. The
 package's names resolve lazily: ``import grasspack`` loads no module,
 and the first public name, ``__all__`` or ``dir()`` imports the six
-modules and binds the union of their lists. A submodule name resolves
-to that submodule alone, so ``grasspack.bounds`` and the closed-form
-bounds run without numpy. ``grasspack.certify`` is the function
-``certify``, whichever import came first.
+modules and binds the union of their lists. Every submodule name, ``cli``
+included, resolves to that submodule alone, so ``grasspack.bounds``, the
+closed-form bounds and ``from grasspack import cli`` run without numpy.
+``grasspack.certify`` is the function ``certify``, whichever import
+came first.
 """
 
 import importlib
@@ -55,7 +56,7 @@ def _load() -> None:
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name in _MODULES or name == "cli":
         # That module alone, as `from . import bounds` asks for it. Importing
         # it binds the module, or its same-named function, through _Package.
         importlib.import_module(f"{__name__}.{name}")

@@ -151,6 +151,13 @@ def orthoplex_bound(n: int, d: int, c: int, field: FieldTag) -> OrthoplexBound |
     return OrthoplexBound(chordal=c * (d - c) / d, gram=c * c / d)
 
 
+def _intersection_gram(d: int, c: int) -> int | None:
+    """2c - d when 2c > d, else None: two c-planes of F^d then share 2c - d
+    dimensions, so every Frobenius overlap is at least 2c - d and every
+    spectral overlap is 1."""
+    return 2 * c - d if 2 * c > d else None
+
+
 def governing_bound(n: int, d: int, c: int, field: FieldTag, spectral: bool = False) -> tuple[float, str]:
     """The largest lower bound on the worst overlap at (n, d, c, field), and its name.
 
@@ -159,8 +166,10 @@ def governing_bound(n: int, d: int, c: int, field: FieldTag, spectral: bool = Fa
     norm is at least the EITFF bound ``"eitff"``. Past the Gerzon limit
     the orthoplex bound ``"orthoplex"`` applies: c^2/d, or c/d for the
     spectral norm since ||G||_2^2 >= ||G||_F^2 / c (Conway, Hardin and
-    Sloane, Exp. Math. 1996). Every overlap is at least 0 (``"trivial"``),
-    which governs when nc < d. Ties go to the bound named first here.
+    Sloane, Exp. Math. 1996). When 2c > d any two c-planes meet, so the
+    intersection bound ``"intersection"`` applies: 2c - d, or 1 for the
+    spectral norm. Every overlap is at least 0 (``"trivial"``), which
+    governs when nc < d. Ties go to the bound named first here.
     """
     if type(spectral) is not bool:
         raise ValueError(f"spectral must be a bool, got {spectral!r}")
@@ -173,6 +182,11 @@ def governing_bound(n: int, d: int, c: int, field: FieldTag, spectral: bool = Fa
         value = c / d if spectral else ortho.gram
         if value > bound:
             bound, name = value, "orthoplex"
+    meet = _intersection_gram(d, c)
+    if meet is not None:
+        value = 1.0 if spectral else float(meet)
+        if value > bound:
+            bound, name = value, "intersection"
     if bound < 0.0:
         bound, name = 0.0, "trivial"
     return bound, name
@@ -196,6 +210,7 @@ class BoundReport:
     eitff_spectral: float
     orthoplex_chordal: float | None
     orthoplex_gram: float | None
+    intersection_gram: int | None
     gerzon: int
     traceless_dim: int
     notes: dict[str, str] = dataclass_field(default_factory=dict)
@@ -227,6 +242,10 @@ def bound_report(n: int, d: int, c: int, field: FieldTag) -> BoundReport:
     else:
         ortho_chordal, ortho_gram = ortho.chordal, ortho.gram
 
+    meet = _intersection_gram(d, c)
+    if meet is None:
+        notes["intersection"] = "requires 2c > d"
+
     return BoundReport(
         n=n,
         d=d,
@@ -238,6 +257,7 @@ def bound_report(n: int, d: int, c: int, field: FieldTag) -> BoundReport:
         eitff_spectral=eitff_bound(n, d, c),
         orthoplex_chordal=ortho_chordal,
         orthoplex_gram=ortho_gram,
+        intersection_gram=meet,
         gerzon=limit,
         traceless_dim=traceless_space_dim(d, field),
         notes=notes,

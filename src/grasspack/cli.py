@@ -242,14 +242,14 @@ def _cmd_bounds(args) -> int:
         ("eitff spectral", report.eitff_spectral),
         ("orthoplex chordal", report.orthoplex_chordal),
         ("orthoplex gram", report.orthoplex_gram),
+        ("intersection gram", report.intersection_gram),
         ("gerzon limit", report.gerzon),
         ("traceless dim", report.traceless_dim),
     ]
-    note_key = {"welch": "welch", "orthoplex chordal": "orthoplex", "orthoplex gram": "orthoplex"}
     lines = [f"parameters: n={report.n} d={report.d} c={report.c} field={report.field.value}"]
     for label, value in rows:
         line = f"{label + ':':<19}{_fmt(value)}"
-        note = report.notes.get(note_key.get(label, ""), "")
+        note = report.notes.get(label.split()[0], "")  # a note is keyed by the bound's name
         if value is None and note:
             line += f"  ({note})"
         lines.append(line)

@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds
 # orthonormalize is unused here but stays importable: bench/tracing.py
 # wraps grasspack.construct.orthonormalize.
-from .linalg import FieldTag, _check_count, _orthonormal_columns, _qr_columns, orthonormalize  # noqa: F401
+from .linalg import FieldTag, _check_count, _qr_columns, orthonormalize  # noqa: F401
 from .metrics import FusionFrame, _require_vectors
 
 __all__ = [
@@ -130,9 +130,10 @@ def random_frame(field: FieldTag, d: int, c: int, n: int, seed: int) -> FusionFr
     Each basis is the QR orthonormalization of a d x c matrix of
     independent standard Gaussians (independent real and imaginary parts
     over C), which induces the rotation-invariant distribution on
-    subspaces. All n matrices are drawn, rank-checked and factored at
-    once. The generator is numpy's default PCG64; an identical seed
-    reproduces the frame bit-for-bit.
+    subspaces. All n matrices are drawn, then factored by one stacked QR
+    with no rank check (a Gaussian draw has full rank with probability 1).
+    The generator is numpy's default PCG64; an identical seed reproduces
+    the frame bit-for-bit.
     """
     bounds._check_dc(d, c)
     _check_count(n, "n", 1)
@@ -144,4 +145,4 @@ def random_frame(field: FieldTag, d: int, c: int, n: int, seed: int) -> FusionFr
         # The stream order of a per-basis loop: each basis's real part, then its imaginary part.
         z = rng.standard_normal((n, 2, d, c))
         a = z[:, 0] + 1j * z[:, 1]
-    return FusionFrame.from_arrays(_orthonormal_columns(a), field)
+    return FusionFrame.from_arrays(_qr_columns(a), field)

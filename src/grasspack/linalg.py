@@ -173,27 +173,21 @@ def _qr_columns(arr: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
-def _orthonormal_columns(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """:func:`_qr_columns` of a matrix or a stack, after checking each has full column rank."""
-    rows, cols = arr.shape[-2:]
-    if cols > rows:
-        raise ValueError(f"cannot orthonormalize {rows}x{cols}: more columns than rows")
-    smallest = _svals(arr)[..., -1].reshape(-1)
-    deficient = smallest <= tol
-    if deficient.any():
-        s = smallest[np.argmax(deficient)]
-        raise ValueError(f"rank deficient: smallest singular value {s:.3e} <= tolerance {tol:.1e}")
-    return _qr_columns(arr)
-
-
 def orthonormalize(a: Mat, tol: float = DEFAULT_TOL) -> Mat:
     """Orthonormal basis for the column span of ``a``.
 
     Requires cols <= rows and numerically full column rank (smallest
-    singular value above ``tol``). The result q satisfies q* q = I and
-    span(q) = span(a); the sign convention of :func:`_qr_columns` makes
-    the output deterministic, and matrices that already have orthonormal
-    columns are returned unchanged up to round-off.
+    singular value above ``tol``): the package's one rank gate. The
+    result q satisfies q* q = I and span(q) = span(a); the sign
+    convention of :func:`_qr_columns` makes the output deterministic, and
+    matrices that already have orthonormal columns are returned unchanged
+    up to round-off.
     """
     _check_tol(tol)
-    return Mat(_orthonormal_columns(a.array, tol), a.field)
+    rows, cols = a.array.shape
+    if cols > rows:
+        raise ValueError(f"cannot orthonormalize {rows}x{cols}: more columns than rows")
+    smallest = _svals(a.array)[-1]
+    if smallest <= tol:
+        raise ValueError(f"rank deficient: smallest singular value {smallest:.3e} <= tolerance {tol:.1e}")
+    return Mat(_qr_columns(a.array), a.field)

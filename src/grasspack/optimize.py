@@ -31,8 +31,9 @@ matrices of that bound's optimal structure (ECTFF or EITFF) and those of
 tight fusion frames. The polished frame is kept only if its certificate
 sets the ECTFF or EITFF flag and its true worst overlap is no worse than
 the descent's; otherwise the descent resumes, with no target, on the
-rest of its iterations. Past the Gerzon limit (``"orthoplex"``)
-and when nc < d (``"trivial"``) there is no polish. Each restart runs to
+rest of its iterations. Past the Gerzon limit (``"orthoplex"``),
+when 2c > d (``"intersection"``) and when nc < d (``"trivial"``)
+there is no polish. Each restart runs to
 its own stop. Once one ends within ``DEFAULT_TOL`` of the governing
 bound, no later restart could beat it by more than that, so the
 remaining restarts are skipped. The best restart run wins, with ties
@@ -131,7 +132,7 @@ class PackResult:
     frame: FusionFrame
     achieved: float  # true (unsmoothed) criterion value of the frame
     bound: float  # the governing lower bound for (n, d, c, field)
-    bound_name: str  # "simplex", "eitff", "orthoplex" or "trivial"
+    bound_name: str  # "simplex", "eitff", "orthoplex", "intersection" or "trivial"
     gap: float  # achieved - bound; >= -DEFAULT_TOL always
     certificate: Certificate
     iterations_used: int  # descent iterations of the winning restart; polish sweeps are not counted

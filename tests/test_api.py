@@ -58,6 +58,11 @@ FRESH = {
         "assert grasspack.cli.run(['certify', FRAME, '--format', 'json']) == 0\n"
         "assert grasspack.certify is sys.modules['grasspack.certify'].certify"
     ),
+    "from-import-cli": (
+        "from grasspack import cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert cli.run(['bounds', '--n', '3', '--d', '4', '--c', '2', '--format', 'json']) == 0"
+    ),
     "dir-first": "import grasspack\nassert set(dir(grasspack)) >= set(grasspack.__all__)",
     "star-import": (
         "ns = {}\n"

@@ -190,6 +190,15 @@ class TestGoverningBound:
             (2, 6, 2, R, True, 0.0, "trivial"),
             (2, 4, 2, R, False, 0.0, "simplex"),  # nc = d: a tie at 0
             (4, 2, 2, R, False, 2.0, "simplex"),  # c = d: a tie with the orthoplex bound
+            (3, 4, 3, R, False, 2.0, "intersection"),  # 2c > d: two 3-planes of R^4 share a plane
+            (3, 4, 3, R, True, 1.0, "intersection"),
+            (6, 3, 2, C, True, 1.0, "intersection"),
+            (4, 5, 4, R, False, 3.0, "intersection"),
+            (7, 3, 2, R, True, 1.0, "intersection"),
+            (7, 3, 2, R, False, 4.0 / 3.0, "orthoplex"),  # past the Gerzon limit c^2/d exceeds 2c - d
+            (4, 3, 2, R, False, 10.0 / 9.0, "simplex"),
+            (3, 3, 2, R, False, 1.0, "simplex"),  # a tie with the intersection bound
+            (5, 3, 3, R, True, 1.0, "eitff"),  # c = d: a tie with the intersection bound
         ],
     )
     def test_regimes(self, n, d, c, field, spectral, value, name):
@@ -204,6 +213,8 @@ class TestGoverningBound:
         ortho = orthoplex_bound(n, d, c, field)
         if ortho is not None:
             candidates["orthoplex"] = ortho.gram / scale
+        if 2 * c > d:
+            candidates["intersection"] = 1.0 if spectral else 2 * c - d
         assert value >= max(candidates.values()) - 1e-15
         assert value == pytest.approx(candidates[name], abs=1e-15)
 
@@ -212,6 +223,21 @@ class TestGoverningBound:
             for n in range(gerzon_limit(d, field) + 1, gerzon_limit(d, field) + 4):
                 for seed in range(5):
                     f = random_frame(field, d, c, n, seed)
+                    for crit in Criterion:
+                        bound, _ = governing_bound(n, d, c, field, crit is Criterion.SPECTRAL_OVERLAP)
+                        assert worst_overlap(f, crit) >= bound - 1e-12
+
+    def test_holds_on_random_frames_whose_planes_must_meet(self):
+        # 2c > d: every pair, not only the worst, has Frobenius overlap at
+        # least 2c - d and spectral overlap 1.
+        for field, d, c in ((R, 3, 2), (C, 3, 2), (R, 4, 3), (C, 5, 3), (R, 5, 4)):
+            for n in (2, 3, 5):
+                for seed in range(5):
+                    f = random_frame(field, d, c, n, seed)
+                    for j, jj in f.pairs():
+                        svals = np.linalg.svd(cross_gramian(f.bases[j], f.bases[jj]).array, compute_uv=False)
+                        assert np.sum(svals**2) >= 2 * c - d - 1e-12
+                        assert svals[0] ** 2 >= 1.0 - 1e-12
                     for crit in Criterion:
                         bound, _ = governing_bound(n, d, c, field, crit is Criterion.SPECTRAL_OVERLAP)
                         assert worst_overlap(f, crit) >= bound - 1e-12
@@ -251,14 +277,21 @@ class TestBoundReport:
         assert rep.simplex_gram == pytest.approx(0.5)
         assert rep.eitff_spectral == pytest.approx(0.25)
 
+    def test_intersection_needs_2c_above_d(self):
+        assert bound_report(3, 4, 3, R).intersection_gram == 2
+        assert "intersection" not in bound_report(3, 4, 3, R).notes
+        rep = bound_report(3, 4, 2, C)
+        assert rep.intersection_gram is None
+        assert rep.notes["intersection"] == "requires 2c > d"
+
     def test_as_dict_round_trip_keys(self):
         rep = bound_report(3, 2, 1, R)
         d = rep.as_dict()
         assert d["field"] == "R"
         assert set(d) == {
             "n", "d", "c", "field", "welch", "simplex_chordal", "simplex_gram",
-            "eitff_spectral", "orthoplex_chordal", "orthoplex_gram", "gerzon",
-            "traceless_dim", "notes",
+            "eitff_spectral", "orthoplex_chordal", "orthoplex_gram", "intersection_gram",
+            "gerzon", "traceless_dim", "notes",
         }
 
 

@@ -636,6 +636,7 @@ class TestHumanOutput:
             "eitff spectral:    0.25",
             "orthoplex chordal: n/a  (requires n > 10 (Gerzon limit for d = 4 over R))",
             "orthoplex gram:    n/a  (requires n > 10 (Gerzon limit for d = 4 over R))",
+            "intersection gram: n/a  (requires 2c > d)",
             "gerzon limit:      10",
             "traceless dim:     9",
         ]

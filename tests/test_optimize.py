@@ -406,6 +406,26 @@ class TestGoverningBound:
         assert result.restart_index == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "field, d, c, n, criterion",
+        [
+            (R, 4, 3, 3, Criterion.SPECTRAL_OVERLAP),
+            (C, 3, 2, 6, Criterion.SPECTRAL_OVERLAP),
+            (R, 4, 3, 3, Criterion.CHORDAL_OVERLAP),
+            (R, 5, 4, 4, Criterion.CHORDAL_OVERLAP),
+        ],
+    )
+    def test_planes_that_must_meet_stop_at_the_intersection_bound(self, monkeypatch, field, d, c, n, criterion):
+        # 2c > d: any two c-planes share 2c - d dimensions, so every start
+        # already sits at the bound and the first restart ends the search.
+        calls = _count_restarts(monkeypatch)
+        result = pack(field, d, c, n, PackConfig(criterion=criterion))
+        bound = 1.0 if criterion is Criterion.SPECTRAL_OVERLAP else 2 * c - d
+        assert (result.bound, result.bound_name) == (bound, "intersection")
+        assert abs(result.gap) <= DEFAULT_TOL
+        assert result.restart_index == 0
+        assert len(calls) == 1
+
     def test_polish_reports_the_governing_bound(self):
         f = random_frame(R, 2, 1, 4, 1)
         result = polish(f, PackConfig(iterations=20))
