@@ -30,12 +30,12 @@ in the Gram domain: an alternating projection between the fusion Gram
 matrices of that bound's optimal structure (ECTFF or EITFF) and those of
 tight fusion frames. The polished frame is kept only if its certificate
 sets the ECTFF or EITFF flag and its true worst overlap is no worse than
-the descent's; otherwise the descent resumes, with no target, on the
-rest of its iterations. Past the Gerzon limit (``"orthoplex"``),
-when 2c > d (``"intersection"``) and when nc < d (``"trivial"``)
-there is no polish. Each restart runs to
-its own stop. Once one ends within ``DEFAULT_TOL`` of the governing
-bound, no later restart could beat it by more than that, so the
+the descent's; otherwise the same descent runs on. Past the Gerzon
+limit (``"orthoplex"``), when 2c > d (``"intersection"``) and when
+nc < d (``"trivial"``) there is no polish. Each restart runs to its own
+stop, and a start already within ``DEFAULT_TOL`` of the governing bound
+is not descended at all. Once a restart ends within ``DEFAULT_TOL`` of
+the bound, no later restart could beat it by more than that, so the
 remaining restarts are skipped. The best restart run wins, with ties
 broken by the lowest restart index.
 
@@ -45,9 +45,10 @@ the governing bound and carry a structure certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -184,10 +185,13 @@ def smoothed_objective_and_gradient(
     all bases with the nc x nc block matrix H.
 
     Overflow on pathological inputs is deliberate and quiet: the value
-    and gradient come back non-finite, without a warning or a raise.
+    and gradient come back non-finite, without a warning or a raise. A
+    stack that is not 3-d, or has d = 0 or c = 0, raises ValueError.
     """
     _check_criterion(criterion)
     x = np.asarray(mats)
+    if x.ndim != 3 or 0 in x.shape[1:]:
+        raise ValueError(f"mats must be an (n, d, c) stack with d, c >= 1, got shape {x.shape}")
     n, d, c = x.shape
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         blocks = _pair_blocks(x)
@@ -225,54 +229,34 @@ def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:
     return _worst_overlap(f.array, criterion)
 
 
-def _descend(
-    mats: np.ndarray, config: PackConfig, budget: int, target: float | None = None
-) -> tuple[np.ndarray, int, bool]:
+def _descend(mats: np.ndarray, criterion: Criterion) -> Iterator[tuple[np.ndarray, float]]:
     """Backtracking gradient descent with QR retraction after every step.
 
-    ``mats`` is the (n, d, c) stack of the starting bases. Runs at most
-    ``budget`` iterations. Each line-search trial is evaluated once, by
-    :func:`smoothed_objective_and_gradient`, and an accepted trial's
-    gradient is the next iteration's direction. Returns the final stack,
-    the number of iterations that accepted a step, and whether it
-    stopped because an accepted step brought the true worst overlap to
-    ``target`` or below. The true value is computed only once
-    the objective passes a necessary pre-test: over P pairs the soft max
-    exceeds the largest smoothed overlap by at most log(P)/SMOOTHING, and
-    a smoothed overlap is the chordal overlap itself or, for the spectral
-    criterion, at most c^(1/p) times the squared spectral norm. Also
-    stops once no step down to STEP_SIZE/2^20 decreases the smoothed
-    objective. Only a finite trial value is accepted, so the objective
-    stays finite once the start's is.
+    ``mats`` is the (n, d, c) stack of the starting bases. Its objective
+    is evaluated once, and a non-finite value raises NumericalError.
+    Yields the stack and its smoothed objective after each accepted step;
+    the caller owns the budget and every other stop. Each line-search
+    trial is evaluated once, by :func:`smoothed_objective_and_gradient`,
+    and an accepted trial's gradient is the next iteration's direction.
+    Returns once the gradient vanishes or no step down to
+    STEP_SIZE/2^20 decreases the smoothed objective. Only a finite trial
+    value is accepted, so the objective stays finite once the start's is.
     """
-    fval, grads = smoothed_objective_and_gradient(mats, config.criterion)
+    fval, grads = smoothed_objective_and_gradient(mats, criterion)
     if not math.isfinite(fval):
         raise NumericalError(f"non-finite objective {fval!r} at the starting frame")
-    if target is not None:
-        n, _, c = mats.shape
-        surrogate = c ** (1.0 / SPECTRAL_SMOOTHING_POWER) if config.criterion is Criterion.SPECTRAL_OVERLAP else 1.0
-        pretest = surrogate * target + math.log(n * (n - 1) // 2) / SMOOTHING
-    used = 0
-    for _ in range(budget):
-        if not grads.any():
-            break
+    while grads.any():
         step = STEP_SIZE
-        accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial = _qr_columns(mats - step * grads)
-            ftrial, gtrial = smoothed_objective_and_gradient(trial, config.criterion)
+            ftrial, gtrial = smoothed_objective_and_gradient(trial, criterion)
             if math.isfinite(ftrial) and ftrial < fval:
                 mats, fval, grads = trial, ftrial, gtrial
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            break
-        used += 1
-        if target is not None and fval <= pretest:
-            if _worst_overlap(mats, config.criterion) <= target:
-                return mats, used, True
-    return mats, used, False
+        else:
+            return
+        yield mats, fval
 
 
 def _structural_projection(pairs: np.ndarray, governing: tuple[float, str]) -> np.ndarray:
@@ -331,21 +315,35 @@ def _restart(
 ) -> tuple[FusionFrame, float, int]:
     """One restart from the (n, d, c) stack ``mats``: its frame, true worst overlap and descent iterations.
 
-    Near a "simplex" or "eitff" bound the descent stops once the true
-    worst overlap is within POLISH_CUT of the bound and hands the frame
-    to the polish stage. If the polish fails, the descent resumes on the
-    rest of its iterations with no target.
+    A start within DEFAULT_TOL of the bound is kept as it is. Otherwise
+    one descent runs for at most ``config.iterations`` accepted steps.
+    Near a "simplex" or "eitff" bound it hands its iterate, once, to the
+    polish stage when the true worst overlap is within POLISH_CUT of the
+    bound; if the polish fails, the same descent runs on. The true value
+    is computed only once the objective passes a necessary pre-test:
+    over P pairs the soft max exceeds the largest smoothed overlap by at
+    most log(P)/SMOOTHING, and a smoothed overlap is the chordal overlap
+    itself or, for the spectral criterion, at most c^(1/p) times the
+    squared spectral norm.
     """
     value, name = governing
-    target = value + POLISH_CUT if name in _STRUCTURES else None
-    mats, used, reached = _descend(mats, config, config.iterations, target)
-    if reached:
-        frame = FusionFrame.from_arrays(mats, field)
-        polished = _polish_stage(frame, worst_overlap(frame, config.criterion), governing, config)
-        if polished is not None:
-            return (*polished, used)
-        mats, steps, _ = _descend(mats, config, config.iterations - used)
-        used += steps
+    budget = 0 if _worst_overlap(mats, config.criterion) - value <= DEFAULT_TOL else config.iterations
+    descent = enumerate(itertools.islice(_descend(mats, config.criterion), budget), 1)
+    used = 0
+    if name in _STRUCTURES:
+        n, _, c = mats.shape
+        surrogate = c ** (1.0 / SPECTRAL_SMOOTHING_POWER) if config.criterion is Criterion.SPECTRAL_OVERLAP else 1.0
+        target = value + POLISH_CUT
+        pretest = surrogate * target + math.log(n * (n - 1) // 2) / SMOOTHING
+        for used, (mats, fval) in descent:
+            if fval <= pretest and _worst_overlap(mats, config.criterion) <= target:
+                frame = FusionFrame.from_arrays(mats, field)
+                polished = _polish_stage(frame, worst_overlap(frame, config.criterion), governing, config)
+                if polished is not None:
+                    return (*polished, used)
+                break
+    for used, (mats, _) in descent:  # all of it, or the rest after a failed polish
+        pass
     frame = FusionFrame.from_arrays(mats, field)
     return frame, worst_overlap(frame, config.criterion), used
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -21,6 +22,7 @@ from grasspack.optimize import (
     POLISH_CUT,
     _polish_stage,
     _qr_columns,
+    _restart,
     _structural_projection,
     _worst_overlap,
     pack,
@@ -173,7 +175,46 @@ class TestObjective:
         # The overflow itself must stay quiet: any warning fails the test.
         huge = np.full((2, 2, 1), 1e200)
         with pytest.raises(NumericalError, match="at the starting frame$"):
-            _descend(huge, PackConfig(iterations=5, restarts=1), 5)
+            _run_descent(huge, Criterion.CHORDAL_OVERLAP, 5)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 1), (2, 2, 0), (2, 2), (2, 2, 1, 1)])
+    def test_rejects_stacks_without_a_basis_shape(self, shape):
+        # An empty dimension used to divide by zero inside the pair plan.
+        message = f"mats must be an (n, d, c) stack with d, c >= 1, got shape {shape!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            smoothed_objective_and_gradient(np.zeros(shape))
+
+
+def _count_calls(monkeypatch, **names) -> dict:
+    """Count optimize's calls to each function it names, keyed by the given labels."""
+    counts = dict.fromkeys(names, 0)
+
+    def spy(label, fn):
+        def counted(*args, **kwargs):
+            counts[label] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for label, name in names.items():
+        monkeypatch.setattr(optimize, name, spy(label, getattr(optimize, name)))
+    return counts
+
+
+def _run_descent(mats, criterion, budget):
+    """The descent's last iterate within ``budget`` accepted steps, and the steps taken."""
+    iterates = [mats, *(x for x, _ in itertools.islice(_descend(mats, criterion), budget))]
+    return iterates[-1], len(iterates) - 1
+
+
+def _handover(monkeypatch, mats, field, governing, config):
+    """_restart with a polish stage that keeps whatever it is handed: the
+    iterate handed over, its true value and the iterations used."""
+    handed = []
+    monkeypatch.setattr(optimize, "_polish_stage", lambda frame, achieved, *_: handed.append(frame) or (frame, achieved))
+    result = _restart(mats, field, governing, config)
+    assert len(handed) == 1
+    return result
 
 
 def _two_evaluation_descend(mats, config, budget, target=None):
@@ -223,19 +264,8 @@ class TestDescend:
     def test_one_objective_and_gradient_per_trial(self, monkeypatch, field, d, c, n, criterion):
         # One evaluation at the start and one per trial, each trial after
         # one retraction; the objective-only path is never taken.
-        counts = {"obj_grad": 0, "obj": 0, "qr": 0}
-
-        def spy(name, fn):
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return counted
-
-        monkeypatch.setattr(optimize, "smoothed_objective_and_gradient", spy("obj_grad", smoothed_objective_and_gradient))
-        monkeypatch.setattr(optimize, "smoothed_objective", spy("obj", smoothed_objective))
-        monkeypatch.setattr(optimize, "_qr_columns", spy("qr", _qr_columns))
-        _, used, _ = _descend(random_frame(field, d, c, n, 0).array, PackConfig(criterion=criterion), 60)
+        counts = _count_calls(monkeypatch, obj_grad="smoothed_objective_and_gradient", obj="smoothed_objective", qr="_qr_columns")
+        _, used = _run_descent(random_frame(field, d, c, n, 0).array, criterion, 60)
         assert used > 0
         assert counts["qr"] >= used
         assert counts["obj"] == 0
@@ -243,20 +273,26 @@ class TestDescend:
 
     @pytest.mark.parametrize("field, d, c, n, criterion", DESCENT_CASES)
     @pytest.mark.parametrize("with_target", [False, True])
-    def test_matches_the_two_evaluation_descent(self, field, d, c, n, criterion, with_target):
-        config = PackConfig(criterion=criterion)
-        start = random_frame(field, d, c, n, 0).array
+    def test_matches_the_two_evaluation_descent(self, monkeypatch, field, d, c, n, criterion, with_target):
         budget = 200
+        config = PackConfig(criterion=criterion, iterations=budget)
+        start = random_frame(field, d, c, n, 0).array
         target = None
         if with_target:
             # The worst overlap halfway through: the pre-test passes and
             # the true value is computed before the descent stops there.
             target = _worst_overlap(_two_evaluation_descend(start, config, budget // 2)[0], criterion)
         expected, expected_used, expected_reached = _two_evaluation_descend(start, config, budget, target)
-        mats, used, reached = _descend(start, config, budget, target)
+        if with_target:
+            # A cut of 0 makes _restart's handover target exactly ``target``.
+            monkeypatch.setattr(optimize, "POLISH_CUT", 0.0)
+            frame, _, used = _handover(monkeypatch, start, field, (target, "simplex"), config)
+            mats = frame.array
+        else:
+            mats, used = _run_descent(start, criterion, budget)
         assert mats.tobytes() == expected.tobytes()
-        assert (used, reached) == (expected_used, expected_reached)
-        assert reached is with_target
+        assert used == expected_used
+        assert expected_reached is with_target
 
 
 class TestPack:
@@ -340,7 +376,7 @@ def _best_of_all_restarts(field, d, c, n, config):
     seeds = np.random.SeedSequence(config.seed).generate_state(config.restarts, dtype=np.uint64)
     best = None
     for r, seed in enumerate(seeds):
-        mats, used, _ = _descend(random_frame(field, d, c, n, int(seed)).array, config, config.iterations)
+        mats, used = _run_descent(random_frame(field, d, c, n, int(seed)).array, config.criterion, config.iterations)
         achieved = worst_overlap(FusionFrame.from_arrays(mats, field), config.criterion)
         if best is None or achieved < best[0]:
             best = (achieved, r, mats, used)
@@ -425,6 +461,9 @@ class TestGoverningBound:
         assert abs(result.gap) <= DEFAULT_TOL
         assert result.restart_index == 0
         assert len(calls) == 1
+        if criterion is Criterion.SPECTRAL_OVERLAP:
+            # Every spectral overlap is already 1, so the start is not descended.
+            assert result.iterations_used == 0
 
     def test_polish_reports_the_governing_bound(self):
         f = random_frame(R, 2, 1, 4, 1)
@@ -434,11 +473,15 @@ class TestGoverningBound:
 
 
 class TestPolish:
-    def test_frame_at_bound_is_unchanged(self):
+    def test_frame_at_bound_is_unchanged(self, monkeypatch):
         f = tensor_eitff(regular_simplex(3), 2)
         before = worst_overlap(f, Criterion.CHORDAL_OVERLAP)
+        counts = _count_calls(monkeypatch, obj_grad="smoothed_objective_and_gradient")
         result = polish(f, PackConfig())
         assert abs(result.achieved - before) <= 1e-9
+        # The start is at the bound, so no descent runs from it.
+        assert result.frame.array.tobytes() == f.array.tobytes()
+        assert result.iterations_used == counts["obj_grad"] == 0
 
     def test_generic_frame_strictly_improves(self):
         f = random_frame(R, 4, 2, 3, 5)
@@ -453,11 +496,12 @@ class TestPolish:
 
     def test_never_worse_than_input(self, monkeypatch):
         # A descent that ends on a worse frame (all three planes equal,
-        # overlap 2) must give back the input untouched.
-        f = tensor_eitff(regular_simplex(3), 2)
+        # overlap 2) must give back the input untouched. The input is off
+        # the bound, so the descent runs.
+        f = random_frame(R, 4, 2, 3, 5)
         before = worst_overlap(f, Criterion.CHORDAL_OVERLAP)
         worse = np.stack([f.array[0]] * 3)
-        monkeypatch.setattr("grasspack.optimize._descend", lambda mats, config, budget, target: (worse, 7, False))
+        monkeypatch.setattr("grasspack.optimize._descend", lambda mats, criterion: iter([(worse, math.inf)] * 7))
         result = polish(f, PackConfig(iterations=40))
         assert result.frame.array.tobytes() == f.array.tobytes()
         assert result.achieved == before
@@ -512,15 +556,13 @@ class TestGramRoutines:
 
 
 class TestPolishStage:
-    def test_certifies_near_the_bound(self):
+    def test_certifies_near_the_bound(self, monkeypatch):
         # The (R,4,2,3) descent stopped at gap <= POLISH_CUT.
         config = PackConfig(restarts=1)
         f = random_frame(R, 4, 2, 3, 0)
         governing = _governing(f, "simplex")
-        mats, _, reached = _descend(f.array, config, config.iterations, governing[0] + POLISH_CUT)
-        assert reached
-        near = FusionFrame.from_arrays(mats, R)
-        achieved = worst_overlap(near, Criterion.CHORDAL_OVERLAP)
+        near, achieved, _ = _handover(monkeypatch, f.array, R, governing, config)
+        assert achieved - governing[0] <= POLISH_CUT
         frame, value = _polish_stage(near, achieved, governing, config)
         assert frame.n == 3 and value <= achieved
         assert value - governing[0] <= 1e-10
@@ -601,6 +643,16 @@ class TestPackPolish:
         assert result.restart_index == restart_index
         assert result.iterations_used == used
         assert result.frame.array.tobytes() == mats.tobytes()
+
+    def test_a_resumed_descent_evaluates_nothing_twice(self, monkeypatch):
+        # One evaluation at each restart's start and one per trial, each
+        # trial after one retraction: a failed polish adds none.
+        counts = _count_calls(monkeypatch, obj_grad="smoothed_objective_and_gradient", qr="_qr_columns")
+        starts = _count_restarts(monkeypatch)
+        polishes = _count_polishes(monkeypatch, fail=True)
+        pack(R, 4, 2, 3, PackConfig(iterations=600, restarts=2))
+        assert len(polishes) == len(starts) == 2
+        assert counts["obj_grad"] == counts["qr"] + len(starts)
 
     def test_below_round_off_the_polish_certifies_at_the_tolerance(self, monkeypatch):
         # A margin of 1e-16 is below round-off, so the polish runs all
