@@ -4,8 +4,9 @@ The default tolerance, the numerical-failure exception, the field and
 criterion enums, and the checks of the three kinds of scalar argument a
 caller passes in (a field, a count, a tolerance). Nothing here imports
 numpy, so the closed-form bounds and the command-line parser can run
-without it. ``linalg`` and ``optimize`` re-export these names, and their
-``__all__`` lists are where the public ones are listed.
+without it. Every module that checks an argument imports its rule from
+here. ``linalg`` and ``optimize`` re-export the public names, and their
+``__all__`` lists are where those are listed.
 """
 
 from __future__ import annotations

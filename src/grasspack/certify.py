@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bounds
-from .linalg import DEFAULT_TOL, _check_tol
+from ._rules import DEFAULT_TOL, _check_tol
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.certify.cross_gramian.
 from .metrics import (  # noqa: F401

@@ -15,9 +15,10 @@ from typing import Iterable
 import numpy as np
 
 from . import bounds
+from ._rules import FieldTag, _check_count
 # orthonormalize is unused here but stays importable: bench/tracing.py
 # wraps grasspack.construct.orthonormalize.
-from .linalg import FieldTag, _check_count, _qr_columns, orthonormalize  # noqa: F401
+from .linalg import _qr_columns, orthonormalize  # noqa: F401
 from .metrics import FusionFrame, _require_vectors
 
 __all__ = [

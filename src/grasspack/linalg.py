@@ -9,7 +9,8 @@ eigendecomposition that fails to converge raises :class:`NumericalError`.
 That exception, :class:`FieldTag`, ``DEFAULT_TOL`` and the rules of the
 field, count and tolerance arguments are defined in the numpy-free
 ``_rules``, so that the bounds and the command-line parser run without
-numpy, and are re-exported here.
+numpy; the three public names are re-exported here, and the rules are
+imported from ``_rules`` by every module that checks arguments.
 One rule holds for every field-tagged array in the package (a ``Mat``, a
 subspace basis, a frame's (n, d, c) stack): entries are finite and
 stored read-only as float64 over R and complex128 over C, and
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._rules import DEFAULT_TOL, FieldTag, NumericalError, _check_count, _check_field, _check_tol  # noqa: F401
+from ._rules import DEFAULT_TOL, FieldTag, NumericalError, _check_field, _check_tol  # noqa: F401
 
 __all__ = [
     "DEFAULT_TOL",

@@ -33,11 +33,13 @@ sets the ECTFF or EITFF flag and its true worst overlap is no worse than
 the descent's; otherwise the same descent runs on. Past the Gerzon
 limit (``"orthoplex"``), when 2c > d (``"intersection"``) and when
 nc < d (``"trivial"``) there is no polish. Each restart runs to its own
-stop, and a start already within ``DEFAULT_TOL`` of the governing bound
-is not descended at all. Once a restart ends within ``DEFAULT_TOL`` of
-the bound, no later restart could beat it by more than that, so the
-remaining restarts are skipped. The best restart run wins, with ties
-broken by the lowest restart index.
+stop: a start already within ``DEFAULT_TOL`` of the governing bound is
+not descended at all, and a restart that ends worse than its start
+keeps the start. ``pack`` and ``polish`` run one search loop, over
+seeded random starts or over the one given frame. Once a restart ends
+within ``DEFAULT_TOL`` of the bound, no later restart could beat it by
+more than that, so the remaining restarts are skipped. The best restart
+wins, with ties broken by the lowest restart index.
 
 No claim of global optimality is ever made; results report their gap to
 the governing bound and carry a structure certificate.
@@ -48,15 +50,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import bounds
-from ._rules import Criterion
+from ._rules import Criterion, _check_count
 from .certify import Certificate, certify
 from .construct import random_frame
-from .linalg import DEFAULT_TOL, FieldTag, NumericalError, _check_count, _qr_columns, _svd
+from .linalg import DEFAULT_TOL, FieldTag, NumericalError, _qr_columns, _svd
 # cross_gramian is unused here but stays importable: bench/tracing.py
 # wraps grasspack.optimize.cross_gramian.
 from .metrics import (  # noqa: F401
@@ -310,58 +312,63 @@ def _polish_stage(
     return (polished, value) if value <= achieved else None
 
 
-def _restart(
-    mats: np.ndarray, field: FieldTag, governing: tuple[float, str], config: PackConfig
-) -> tuple[FusionFrame, float, int]:
-    """One restart from the (n, d, c) stack ``mats``: its frame, true worst overlap and descent iterations.
+def _restart(start: FusionFrame, governing: tuple[float, str], config: PackConfig) -> tuple[FusionFrame, float, int]:
+    """One restart from ``start``: its frame, true worst overlap and descent iterations.
 
-    A start within DEFAULT_TOL of the bound is kept as it is. Otherwise
-    one descent runs for at most ``config.iterations`` accepted steps.
-    Near a "simplex" or "eitff" bound it hands its iterate, once, to the
-    polish stage when the true worst overlap is within POLISH_CUT of the
-    bound; if the polish fails, the same descent runs on. The true value
-    is computed only once the objective passes a necessary pre-test:
-    over P pairs the soft max exceeds the largest smoothed overlap by at
-    most log(P)/SMOOTHING, and a smoothed overlap is the chordal overlap
-    itself or, for the spectral criterion, at most c^(1/p) times the
-    squared spectral norm.
+    The start is measured once; within DEFAULT_TOL of the bound it is
+    returned itself. Otherwise one descent runs for at most
+    ``config.iterations`` accepted steps. Near a "simplex" or "eitff"
+    bound it hands its iterate and that iterate's true worst overlap,
+    once, to the polish stage when the overlap is within POLISH_CUT of
+    the bound; if the polish fails, the same descent runs on. The true
+    value is computed only once the objective passes a necessary
+    pre-test: over P pairs the soft max exceeds the largest smoothed
+    overlap by at most log(P)/SMOOTHING, and a smoothed overlap is the
+    chordal overlap itself or, for the spectral criterion, at most
+    c^(1/p) times the squared spectral norm. The one exit returns the
+    start itself, with 0 iterations, when it is better than the
+    polished or descended frame the restart ends on.
     """
     value, name = governing
-    budget = 0 if _worst_overlap(mats, config.criterion) - value <= DEFAULT_TOL else config.iterations
-    descent = enumerate(itertools.islice(_descend(mats, config.criterion), budget), 1)
-    used = 0
+    start_value = _worst_overlap(start.array, config.criterion)
+    if start_value - value <= DEFAULT_TOL:
+        return start, start_value, 0
+    target, pretest = value + POLISH_CUT, -math.inf
     if name in _STRUCTURES:
-        n, _, c = mats.shape
-        surrogate = c ** (1.0 / SPECTRAL_SMOOTHING_POWER) if config.criterion is Criterion.SPECTRAL_OVERLAP else 1.0
-        target = value + POLISH_CUT
-        pretest = surrogate * target + math.log(n * (n - 1) // 2) / SMOOTHING
-        for used, (mats, fval) in descent:
-            if fval <= pretest and _worst_overlap(mats, config.criterion) <= target:
-                frame = FusionFrame.from_arrays(mats, field)
-                polished = _polish_stage(frame, worst_overlap(frame, config.criterion), governing, config)
-                if polished is not None:
-                    return (*polished, used)
+        surrogate = start.c ** (1.0 / SPECTRAL_SMOOTHING_POWER) if config.criterion is Criterion.SPECTRAL_OVERLAP else 1.0
+        pretest = surrogate * target + math.log(start.n * (start.n - 1) // 2) / SMOOTHING
+    mats, used, ended = start.array, 0, None
+    for used, (mats, fval) in enumerate(itertools.islice(_descend(mats, config.criterion), config.iterations), 1):
+        if fval <= pretest and (near := _worst_overlap(mats, config.criterion)) <= target:
+            ended = _polish_stage(FusionFrame.from_arrays(mats, start.field), near, governing, config)
+            if ended is not None:
                 break
-    for used, (mats, _) in descent:  # all of it, or the rest after a failed polish
-        pass
-    frame = FusionFrame.from_arrays(mats, field)
-    return frame, worst_overlap(frame, config.criterion), used
+            pretest = -math.inf  # one polish per restart; the descent runs on
+    if ended is None:
+        frame = FusionFrame.from_arrays(mats, start.field)
+        ended = frame, worst_overlap(frame, config.criterion)
+    return (start, start_value, 0) if start_value < ended[1] else (*ended, used)
 
 
-def _result(
-    frame: FusionFrame, achieved: float, governing: tuple[float, str], used: int, restart_index: int
-) -> PackResult:
-    """A PackResult: the frame with its gap to the governing bound (value, name) and its certificate."""
-    value, name = governing
+def _search(starts: Iterable[FusionFrame], field: FieldTag, d: int, c: int, n: int, config: PackConfig) -> PackResult:
+    """The search loop: a restart from each start in turn, the best kept (ties to the first).
+
+    The governing bound is computed, which checks (n, d, c), before the
+    first start is drawn. The loop stops after the first restart within
+    DEFAULT_TOL of the bound.
+    """
+    value, name = bounds.governing_bound(n, d, c, field, config.criterion is Criterion.SPECTRAL_OVERLAP)
+    best: tuple[float, int, FusionFrame, int] | None = None
+    for r, start in enumerate(starts):
+        frame, achieved, used = _restart(start, (value, name), config)
+        if best is None or achieved < best[0]:
+            best = (achieved, r, frame, used)
+        if achieved - value <= DEFAULT_TOL:
+            break
+    achieved, restart_index, frame, used = best
     return PackResult(
-        frame=frame,
-        achieved=achieved,
-        bound=value,
-        bound_name=name,
-        gap=achieved - value,
-        certificate=certify(frame, DEFAULT_TOL),
-        iterations_used=used,
-        restart_index=restart_index,
+        frame=frame, achieved=achieved, bound=value, bound_name=name, gap=achieved - value,
+        certificate=certify(frame, DEFAULT_TOL), iterations_used=used, restart_index=restart_index,
     )
 
 
@@ -374,7 +381,8 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
     near a "simplex" or "eitff" bound the descent hands over once to the
     Gram-domain polish stage, which keeps its frame only if that frame
     certifies as an ECTFF or EITFF and is no worse (see
-    :func:`_polish_stage`); otherwise the descent runs on. The search
+    :func:`_polish_stage`); otherwise the descent runs on. A restart
+    that ends worse than its random start keeps the start. The search
     ends early after the first restart whose achieved value is within
     ``DEFAULT_TOL`` of the governing bound, since no later restart can
     beat it by more than that. ``iterations_used`` counts the winning
@@ -382,33 +390,19 @@ def pack(field: FieldTag, d: int, c: int, n: int, config: PackConfig = PackConfi
     configs produce bit-identical results. Invalid (n, d, c) raise
     ValueError from ``bounds.governing_bound`` before any search starts.
     """
-    governing = bounds.governing_bound(n, d, c, field, config.criterion is Criterion.SPECTRAL_OVERLAP)
-    restart_seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(config.restarts, dtype=np.uint64)]
-    best: tuple[float, int, FusionFrame, int] | None = None
-    for r, seed in enumerate(restart_seeds):
-        start = random_frame(field, d, c, n, seed)
-        frame, achieved, used = _restart(start.array, field, governing, config)
-        if best is None or achieved < best[0]:
-            best = (achieved, r, frame, used)
-        if achieved - governing[0] <= DEFAULT_TOL:
-            break
-    achieved, restart_index, frame, used = best
-    return _result(frame, achieved, governing, used, restart_index)
+    seeds = np.random.SeedSequence(config.seed).generate_state(config.restarts, dtype=np.uint64)
+    return _search((random_frame(field, d, c, n, int(s)) for s in seeds), field, d, c, n, config)
 
 
 def polish(f: FusionFrame, config: PackConfig = PackConfig()) -> PackResult:
-    """Run one restart of the search (the descent, then near a "simplex"
+    """Run the search's one restart (the descent, then near a "simplex"
     or "eitff" bound the polish stage) from an existing frame instead of
-    a random start.
+    a random start: the search loop over the one start ``f``.
 
-    The result is never worse than the input: if the restart fails to
-    improve the true criterion value, the input frame is returned
-    unchanged. Invalid frames (n = 1) raise ValueError from
-    ``bounds.governing_bound`` before any descent.
+    The result is never worse than the input: a restart that fails to
+    improve the true criterion value returns the input frame itself, as
+    does an input already within ``DEFAULT_TOL`` of the bound. Invalid
+    frames (n = 1) raise ValueError from ``bounds.governing_bound``
+    before any descent.
     """
-    governing = bounds.governing_bound(f.n, f.d, f.c, f.field, config.criterion is Criterion.SPECTRAL_OVERLAP)
-    initial_achieved = worst_overlap(f, config.criterion)
-    frame, achieved, used = _restart(f.array, f.field, governing, config)
-    if achieved > initial_achieved:
-        frame, achieved, used = f, initial_achieved, 0
-    return _result(frame, achieved, governing, used, 0)
+    return _search([f], f.field, f.d, f.c, f.n, config)

@@ -212,7 +212,7 @@ def _handover(monkeypatch, mats, field, governing, config):
     iterate handed over, its true value and the iterations used."""
     handed = []
     monkeypatch.setattr(optimize, "_polish_stage", lambda frame, achieved, *_: handed.append(frame) or (frame, achieved))
-    result = _restart(mats, field, governing, config)
+    result = _restart(FusionFrame.from_arrays(mats, field), governing, config)
     assert len(handed) == 1
     return result
 
@@ -505,6 +505,68 @@ class TestPolish:
         result = polish(f, PackConfig(iterations=40))
         assert result.frame.array.tobytes() == f.array.tobytes()
         assert result.achieved == before
+        assert result.iterations_used == 0
+
+
+def _record_measurements(monkeypatch) -> list:
+    """Record the bytes of every stack optimize measures with _worst_overlap."""
+    measured = []
+    real = optimize._worst_overlap
+    monkeypatch.setattr(optimize, "_worst_overlap", lambda x, criterion: measured.append(x.tobytes()) or real(x, criterion))
+    return measured
+
+
+class TestEachFrameMeasuredOnce:
+    def test_polish_measures_its_input_once(self, monkeypatch):
+        f = random_frame(R, 4, 2, 3, 5)
+        measured = _record_measurements(monkeypatch)
+        polish(f, PackConfig(iterations=40))
+        assert measured.count(f.array.tobytes()) == 1
+
+    def test_a_handover_measures_its_iterate_once(self, monkeypatch):
+        f = random_frame(R, 4, 2, 3, 0)
+        measured = _record_measurements(monkeypatch)
+        near, _, _ = _handover(monkeypatch, f.array, R, _governing(f, "simplex"), PackConfig(restarts=1))
+        assert measured.count(near.array.tobytes()) == 1
+
+    def test_polish_at_the_bound_returns_its_input(self, monkeypatch):
+        f = tensor_eitff(regular_simplex(3), 2)
+        measured = _record_measurements(monkeypatch)
+        result = polish(f, PackConfig())
+        assert measured == [f.array.tobytes()]
+        assert result.frame is f
+        assert result.iterations_used == 0
+
+
+class TestEveryRestartKeepsABetterStart:
+    def test_pack_keeps_a_start_its_descent_made_worse(self, monkeypatch):
+        # Every iterate has all three planes equal (overlap 2), worse than any random start.
+        calls = _count_restarts(monkeypatch)
+        monkeypatch.setattr(optimize, "_descend", lambda mats, criterion: iter([(np.stack([mats[0]] * 3), math.inf)] * 7))
+        result = pack(R, 4, 2, 3, PackConfig(iterations=40, restarts=1))
+        (args,) = calls
+        start = random_frame(*args)
+        assert result.frame.array.tobytes() == start.array.tobytes()
+        assert result.achieved == worst_overlap(start, Criterion.CHORDAL_OVERLAP)
+        assert result.iterations_used == 0
+
+    def test_pack_keeps_a_start_better_than_a_polished_frame(self, monkeypatch):
+        # A cut of 10 hands the first iterate over; the stubbed polish
+        # "succeeds" with all three planes equal, overlap 2.
+        calls = _count_restarts(monkeypatch)
+        monkeypatch.setattr(optimize, "POLISH_CUT", 10.0)
+        polished = []
+
+        def worse(frame, achieved, *_):
+            polished.append(FusionFrame.from_arrays(np.stack([frame.array[0]] * 3), frame.field))
+            return polished[-1], worst_overlap(polished[-1], Criterion.CHORDAL_OVERLAP)
+
+        monkeypatch.setattr(optimize, "_polish_stage", worse)
+        result = pack(R, 4, 2, 3, PackConfig(iterations=40, restarts=1))
+        (args,), (frame,) = calls, polished
+        start = random_frame(*args)
+        assert worst_overlap(frame, Criterion.CHORDAL_OVERLAP) > worst_overlap(start, Criterion.CHORDAL_OVERLAP)
+        assert result.frame.array.tobytes() == start.array.tobytes()
         assert result.iterations_used == 0
 
 
