@@ -141,6 +141,60 @@ def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicR
     return _equiisoclinic(dev_sq, sigma_sq, f.c, tol)
 
 
+def _near(value: float, expected: float, tol: float) -> bool:
+    """Whether a frame constant sits at its forced value, relative to it once it exceeds 1."""
+    return abs(value - expected) <= tol * max(1.0, abs(expected))
+
+
+def _ectff_verdict(
+    f: FusionFrame, overlaps: np.ndarray, max_frob: float, tol: float
+) -> tuple[bool, float, TightnessResult, EquichordalResult]:
+    """The ECTFF flag and the simplex gap, and the results the flag rests on.
+
+    ``overlaps`` are the pair overlaps ||G||_F^2 and ``max_frob`` their
+    largest. ECTFF requires tightness, equi-chordality, and beta at its
+    forced value c(nc-d)/(d(n-1)), the simplex bound.
+    """
+    tight = is_tight_fusion_frame(f, tol)
+    chordal = _equichordal(overlaps, tol)
+    beta_expected = bounds.simplex_bound_gram(f.n, f.d, f.c)
+    flag = tight.flag and chordal.flag and _near(chordal.beta, beta_expected, tol)
+    return flag, max_frob - beta_expected, tight, chordal
+
+
+def _eitff_verdict(
+    f: FusionFrame, blocks: np.ndarray, products: tuple, is_ectff: bool, tol: float
+) -> tuple[bool, float, EquiisoclinicResult]:
+    """The EITFF flag and gap, and the equi-isoclinicity result the flag rests on.
+
+    ``products`` is ``metrics._pair_products(blocks)``. EITFF requires
+    ECTFF, equi-isoclinicity, and sigma_sq at its forced value
+    (nc-d)/(d(n-1)), the EITFF bound.
+    """
+    overlaps, fourth, dev_sq, sigma_sq = products
+    iso = _equiisoclinic(dev_sq, sigma_sq, f.c, tol)
+    sigma_expected = bounds.eitff_bound(f.n, f.d, f.c)
+    flag = is_ectff and iso.flag and _near(iso.sigma_sq, sigma_expected, tol)
+    return flag, _spectral_max(blocks, overlaps, fourth) - sigma_expected, iso
+
+
+def _verdict(f: FusionFrame, blocks: np.ndarray, name: str, tol: float) -> tuple[bool, float]:
+    """The flag and gap of one structure, as :func:`certify` reports them, bit for bit.
+
+    ``blocks`` is ``metrics._pair_blocks(f.array)``. Under ``name``
+    "simplex" these are ``is_ectff`` and ``simplex_gap``, read off the
+    overlaps alone: no M = G* G and no SVD. Under "eitff" they are
+    ``is_eitff`` and ``eitff_gap``. This is the polish stage's check of
+    each sweep, which reads nothing else of the certificate.
+    """
+    if name == "simplex":
+        overlaps = _frobenius_sq(blocks)
+        return _ectff_verdict(f, overlaps, float(overlaps.max()), tol)[:2]
+    products = _pair_products(blocks)
+    is_ectff = _ectff_verdict(f, products[0], float(products[0].max()), tol)[0]
+    return _eitff_verdict(f, blocks, products, is_ectff, tol)[:2]
+
+
 def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     """Full structure certificate for a frame of n >= 2 subspaces.
 
@@ -158,31 +212,13 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     hold it get an SVD (none at c = 1).
     """
     _check_tol(tol)
-    n, d, c = f.n, f.d, f.c
-
-    tight = is_tight_fusion_frame(f, tol)
     blocks = _pair_blocks(f.array)
-    overlaps, fourth, dev_sq, sigma_sq = _pair_products(blocks)
-    max_spec = _spectral_max(blocks, overlaps, fourth)
-    chordal = _equichordal(overlaps, tol)
-    iso = _equiisoclinic(dev_sq, sigma_sq, c, tol)
+    products = _pair_products(blocks)
+    max_frob = float(products[0].max())
+    is_ectff, simplex_gap, tight, chordal = _ectff_verdict(f, products[0], max_frob, tol)
+    is_eitff, eitff_gap, iso = _eitff_verdict(f, blocks, products, is_ectff, tol)
 
-    beta_expected = bounds.simplex_bound_gram(n, d, c)
-    sigma_expected = bounds.eitff_bound(n, d, c)
-    is_ectff = (
-        tight.flag
-        and chordal.flag
-        and abs(chordal.beta - beta_expected) <= tol * max(1.0, abs(beta_expected))
-    )
-    is_eitff = (
-        is_ectff
-        and iso.flag
-        and abs(iso.sigma_sq - sigma_expected) <= tol * max(1.0, abs(sigma_expected))
-    )
-
-    max_frob = float(overlaps.max())
-
-    ortho = bounds.orthoplex_bound(n, d, c, f.field)
+    ortho = bounds.orthoplex_bound(f.n, f.d, f.c, f.field)
     orthoplex_gap = None if ortho is None else max_frob - ortho.gram
 
     return Certificate(
@@ -197,8 +233,8 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
         sigma_deviation=iso.deviation,
         is_ectff=is_ectff,
         is_eitff=is_eitff,
-        simplex_gap=max_frob - beta_expected,
-        eitff_gap=max_spec - sigma_expected,
+        simplex_gap=simplex_gap,
+        eitff_gap=eitff_gap,
         orthoplex_gap=orthoplex_gap,
         tolerance=tol,
     )

@@ -13,11 +13,12 @@ smoothed by the differentiable surrogate (Tr[(G* G)^p])^(1/p) with the
 fixed small power p = ``SPECTRAL_SMOOTHING_POWER``. Descent is plain
 gradient descent in the ambient entries, followed by QR
 re-orthonormalization of every basis (a retraction onto the product of
-Stiefel manifolds). Each line search starts from the fixed step
-``STEP_SIZE``, halving on objective increase (at most 20 halvings per
-iteration), with no momentum. Each trial is evaluated once, objective
-and gradient together, so the accepted trial's gradient is the next
-step's direction. Runs are deterministic: restarts draw
+Stiefel manifolds). A descent's first line search starts from the step
+``STEP_SIZE``, and each later one from twice the last accepted step,
+capped at ``STEP_SIZE``; each halves on objective increase (at most 20
+halvings per iteration), with no momentum. Each trial is evaluated
+once, objective and gradient together, so the accepted trial's gradient
+is the next step's direction. Runs are deterministic: restarts draw
 their starting frames from seeds derived from the configured seed.
 
 A descent on a soft max brings the overlaps level quickly but makes the
@@ -28,8 +29,9 @@ restart's descent therefore stops once its true worst overlap is within
 ``POLISH_CUT`` of the bound and hands the frame, once, to a polish stage
 in the Gram domain: an alternating projection between the fusion Gram
 matrices of that bound's optimal structure (ECTFF or EITFF) and those of
-tight fusion frames. The polished frame is kept only if its certificate
-sets the ECTFF or EITFF flag and its true worst overlap is no worse than
+tight fusion frames. Each sweep checks only the certificate's flag and
+gap for that structure. The polished frame is kept only if it sets the
+ECTFF or EITFF flag and its true worst overlap is no worse than
 the descent's; otherwise the same descent runs on. Past the Gerzon
 limit (``"orthoplex"``), when 2c > d (``"intersection"``) and when
 nc < d (``"trivial"``) there is no polish. Each restart runs to its own
@@ -56,7 +58,7 @@ import numpy as np
 
 from . import bounds
 from ._rules import Criterion, _check_count
-from .certify import Certificate, certify
+from .certify import Certificate, _verdict, certify
 from .construct import random_frame
 from .linalg import DEFAULT_TOL, FieldTag, NumericalError, _qr_columns, _svd
 # cross_gramian is unused here but stays importable: bench/tracing.py
@@ -89,7 +91,8 @@ __all__ = [
 SPECTRAL_SMOOTHING_POWER = 4
 
 # Sharpness of the log-sum-exp soft max over pairs, and the first step of
-# each backtracking line search.
+# a descent's first backtracking line search, which also caps the first
+# step of every later one.
 SMOOTHING = 200.0
 STEP_SIZE = 0.05
 
@@ -102,12 +105,8 @@ _MAX_HALVINGS = 20
 POLISH_CUT = 1e-2
 POLISH_SWEEPS = 200
 POLISH_MARGIN = 0.01
-# What the polish reads off the certificate under each bound it runs for:
-# the flag of the optimal structure and the gap to it.
-_STRUCTURES = {
-    "simplex": ("is_ectff", "simplex_gap"),
-    "eitff": ("is_eitff", "eitff_gap"),
-}
+# The bounds whose optimal structure (ECTFF or EITFF) the polish projects onto.
+_STRUCTURES = ("simplex", "eitff")
 
 
 def _check_criterion(criterion) -> None:
@@ -240,15 +239,19 @@ def _descend(mats: np.ndarray, criterion: Criterion) -> Iterator[tuple[np.ndarra
     the caller owns the budget and every other stop. Each line-search
     trial is evaluated once, by :func:`smoothed_objective_and_gradient`,
     and an accepted trial's gradient is the next iteration's direction.
-    Returns once the gradient vanishes or no step down to
-    STEP_SIZE/2^20 decreases the smoothed objective. Only a finite trial
-    value is accepted, so the objective stays finite once the start's is.
+    The first line search starts from STEP_SIZE, and each later one from
+    min(STEP_SIZE, 2 x the last accepted step). That step is the
+    generator's own state, so a descent the caller pauses and resumes is
+    the one it would have run uninterrupted. Returns once the gradient
+    vanishes or no step down to 2^-20 times the line search's first
+    step decreases the smoothed objective. Only a finite trial value is
+    accepted, so the objective stays finite once the start's is.
     """
     fval, grads = smoothed_objective_and_gradient(mats, criterion)
     if not math.isfinite(fval):
         raise NumericalError(f"non-finite objective {fval!r} at the starting frame")
+    step = STEP_SIZE
     while grads.any():
-        step = STEP_SIZE
         for _ in range(_MAX_HALVINGS + 1):
             trial = _qr_columns(mats - step * grads)
             ftrial, gtrial = smoothed_objective_and_gradient(trial, criterion)
@@ -259,6 +262,7 @@ def _descend(mats: np.ndarray, criterion: Criterion) -> Iterator[tuple[np.ndarra
         else:
             return
         yield mats, fval
+        step = min(STEP_SIZE, 2.0 * step)
 
 
 def _structural_projection(pairs: np.ndarray, governing: tuple[float, str]) -> np.ndarray:
@@ -289,24 +293,29 @@ def _polish_stage(
     it near the spectral set of tight fusion frames (nc/d times a rank-d
     projection); Tropp, Dhillon, Heath and Strohmer, IEEE Trans. Inf.
     Theory 2005, and Dhillon, Heath, Strohmer and Tropp, Exp. Math. 2008.
-    Stops once the certificate at POLISH_MARGIN * DEFAULT_TOL sets the
-    flag of the bound (ECTFF or EITFF) with a gap of at most that much, so
-    the result holds its certificate with margin. Otherwise it stops after
-    POLISH_SWEEPS sweeps and then needs the flag at DEFAULT_TOL itself.
-    Returns the polished frame and its true worst overlap when the flag
-    is set and that overlap is at most ``achieved``; otherwise None.
+    Each sweep forms the frame's pair blocks once, for both its check and
+    its projection. The check is ``certify._verdict``: the certificate's
+    flag of the bound (ECTFF or EITFF) and its gap to the bound, and
+    nothing else of the certificate. The polish stops once that flag is
+    set at POLISH_MARGIN * DEFAULT_TOL with a gap of at most that much,
+    so the result holds its certificate with margin. Otherwise it stops
+    after POLISH_SWEEPS sweeps and then needs the flag at DEFAULT_TOL
+    itself. Returns the polished frame and its true worst overlap when
+    the flag is set and that overlap is at most ``achieved``; otherwise
+    None.
     """
-    flag, gap_field = _STRUCTURES[governing[1]]
+    name = governing[1]
     strict = POLISH_MARGIN * DEFAULT_TOL
     polished = frame
     for _ in range(POLISH_SWEEPS):
-        cert = certify(polished, strict)
-        if getattr(cert, flag) and getattr(cert, gap_field) <= strict:
+        blocks = _pair_blocks(polished.array)
+        flag, gap = _verdict(polished, blocks, name, strict)
+        if flag and gap <= strict:
             break
-        mats = _gram_to_frame(_structural_projection(_pair_blocks(polished.array), governing), frame.n, frame.d)
+        mats = _gram_to_frame(_structural_projection(blocks, governing), frame.n, frame.d)
         polished = FusionFrame.from_arrays(mats, frame.field)
     else:
-        if not getattr(certify(polished, DEFAULT_TOL), flag):
+        if not _verdict(polished, _pair_blocks(polished.array), name, DEFAULT_TOL)[0]:
             return None
     value = worst_overlap(polished, config.criterion)
     return (polished, value) if value <= achieved else None

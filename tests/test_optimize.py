@@ -8,6 +8,7 @@ import pytest
 
 from grasspack import construct, optimize
 from grasspack.bounds import eitff_bound, governing_bound, simplex_bound_gram
+from grasspack.certify import _verdict, certify
 from grasspack.construct import DifferenceSet, harmonic_etf, random_frame, regular_simplex, tensor_eitff
 from grasspack.linalg import DEFAULT_TOL, FieldTag, NumericalError
 from grasspack.metrics import FusionFrame, _flat, _gram_to_frame, _pair_blocks
@@ -217,9 +218,14 @@ def _handover(monkeypatch, mats, field, governing, config):
     return result
 
 
-def _two_evaluation_descend(mats, config, budget, target=None):
+def _two_evaluation_descend(mats, config, budget, target=None, carry=True):
     """Reference descent: each trial is scored by smoothed_objective, and the
-    gradient of the accepted trial is taken again at the next iteration."""
+    gradient of the accepted trial is taken again at the next iteration.
+
+    Each line search after the first starts from twice the last accepted
+    step, capped at STEP_SIZE; without ``carry``, every one starts from
+    STEP_SIZE.
+    """
     fval = smoothed_objective(mats, config.criterion)
     if not math.isfinite(fval):
         raise NumericalError(f"non-finite objective {fval!r} at the starting frame")
@@ -228,11 +234,12 @@ def _two_evaluation_descend(mats, config, budget, target=None):
         surrogate = c ** (1.0 / SPECTRAL_SMOOTHING_POWER) if config.criterion is Criterion.SPECTRAL_OVERLAP else 1.0
         pretest = surrogate * target + math.log(n * (n - 1) // 2) / SMOOTHING
     used = 0
+    first = STEP_SIZE
     for _ in range(budget):
         _, grads = smoothed_objective_and_gradient(mats, config.criterion)
         if not grads.any():
             break
-        step = STEP_SIZE
+        step = first
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial = _qr_columns(mats - step * grads)
@@ -244,12 +251,18 @@ def _two_evaluation_descend(mats, config, budget, target=None):
             step *= 0.5
         if not accepted:
             break
+        if carry:
+            first = min(STEP_SIZE, 2.0 * step)
         used += 1
         if target is not None and fval <= pretest:
             if _worst_overlap(mats, config.criterion) <= target:
                 return mats, used, True
     return mats, used, False
 
+
+# The benchmark's search-wide instances: one restart at a fixed budget,
+# far from the bound.
+SEARCH_WIDE = [(R, 6, 2, 16, 300), (C, 4, 1, 16, 300), (R, 8, 3, 40, 100)]
 
 DESCENT_CASES = [
     (R, 4, 2, 3, Criterion.CHORDAL_OVERLAP),
@@ -293,6 +306,19 @@ class TestDescend:
         assert mats.tobytes() == expected.tobytes()
         assert used == expected_used
         assert expected_reached is with_target
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("field, d, c, n, iterations", SEARCH_WIDE)
+    def test_far_from_the_bound_the_carried_step_is_the_fixed_step(self, field, d, c, n, iterations, seed):
+        # Twice the last accepted step, capped at STEP_SIZE, is STEP_SIZE
+        # again unless that step took two halvings; here none does, so
+        # pack gives what a descent from STEP_SIZE at every step gives.
+        config = PackConfig(iterations=iterations, restarts=1, seed=seed)
+        (start,) = np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)
+        expected, used, _ = _two_evaluation_descend(random_frame(field, d, c, n, int(start)).array, config, iterations, carry=False)
+        result = pack(field, d, c, n, config)
+        assert result.frame.array.tobytes() == expected.tobytes()
+        assert result.iterations_used == used
 
 
 class TestPack:
@@ -640,6 +666,31 @@ class TestPolishStage:
         achieved = worst_overlap(f, Criterion.CHORDAL_OVERLAP)
         assert _polish_stage(f, achieved, _governing(f, "simplex"), PackConfig()) is None
 
+    @pytest.mark.parametrize("source", ["at-bound", "random", "polish-R-4-2-3", "polish-C-3-1-7"])
+    def test_its_check_is_the_certificate_flag_and_gap(self, monkeypatch, source):
+        # Each sweep's check must be the certificate's own flag and gap,
+        # bit for bit, under both structures and at both tolerances.
+        if source == "at-bound":
+            frames = list(AT_BOUND.values())
+        elif source == "random":
+            shapes = [(R, 4, 2, 3), (C, 3, 1, 7), (C, 6, 3, 5), (R, 6, 2, 16)]
+            frames = [random_frame(*shape, seed) for shape in shapes for seed in (0, 1)]
+        else:
+            # Every frame a default pack's polish checks, one per sweep.
+            frames = []
+            verdict = optimize._verdict
+            monkeypatch.setattr(optimize, "_verdict", lambda f, *args: frames.append(f) or verdict(f, *args))
+            field, d, c, n = {"polish-R-4-2-3": (R, 4, 2, 3), "polish-C-3-1-7": (C, 3, 1, 7)}[source]
+            assert pack(field, d, c, n, PackConfig(restarts=1)).certificate.is_ectff
+            assert len(frames) > 1
+        for f in frames:
+            for tol in (optimize.POLISH_MARGIN * DEFAULT_TOL, DEFAULT_TOL):
+                cert = certify(f, tol)
+                for name, flag, gap in (("simplex", "is_ectff", "simplex_gap"), ("eitff", "is_eitff", "eitff_gap")):
+                    got_flag, got_gap = _verdict(f, _pair_blocks(f.array), name, tol)
+                    assert got_flag == getattr(cert, flag)
+                    assert got_gap.hex() == getattr(cert, gap).hex()
+
 
 def _count_polishes(monkeypatch, fail: bool = False) -> list:
     """Record every polish-stage call; with ``fail``, every call fails without polishing."""
@@ -721,16 +772,17 @@ class TestPackPolish:
         # POLISH_SWEEPS sweeps and then needs the flag at DEFAULT_TOL itself.
         margin = 1e-8
         monkeypatch.setattr(optimize, "POLISH_MARGIN", margin)
-        tols = []
-        real = optimize.certify
-        monkeypatch.setattr("grasspack.optimize.certify", lambda f, tol: tols.append(tol) or real(f, tol))
+        checks = []
+        real_verdict, real_certify = optimize._verdict, optimize.certify
+        monkeypatch.setattr(optimize, "_verdict", lambda *args: checks.append(("verdict", args[-1])) or real_verdict(*args))
+        monkeypatch.setattr(optimize, "certify", lambda *args: checks.append(("certify", args[-1])) or real_certify(*args))
         polishes = _count_polishes(monkeypatch)
         result = pack(R, 4, 2, 3)
         assert result.certificate.is_ectff
         assert len(polishes) == 1
         # Sweeps at the margin, the polish's check at the tolerance, then the result's certificate.
-        assert tols[:-2] == [margin * DEFAULT_TOL] * optimize.POLISH_SWEEPS
-        assert tols[-2:] == [DEFAULT_TOL, DEFAULT_TOL]
+        assert checks[:-2] == [("verdict", margin * DEFAULT_TOL)] * optimize.POLISH_SWEEPS
+        assert checks[-2:] == [("verdict", DEFAULT_TOL), ("certify", DEFAULT_TOL)]
 
     def test_a_converging_polish_runs_on_to_its_certificate(self):
         # This polish converges slowly at first and then faster; it certifies
