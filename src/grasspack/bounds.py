@@ -173,23 +173,15 @@ def governing_bound(n: int, d: int, c: int, field: FieldTag, spectral: bool = Fa
     """
     if type(spectral) is not bool:
         raise ValueError(f"spectral must be a bool, got {spectral!r}")
-    if spectral:
-        bound, name = eitff_bound(n, d, c), "eitff"
-    else:
-        bound, name = simplex_bound_gram(n, d, c), "simplex"
+    candidates = [(eitff_bound(n, d, c), "eitff") if spectral else (simplex_bound_gram(n, d, c), "simplex")]
     ortho = orthoplex_bound(n, d, c, field)
     if ortho is not None:
-        value = c / d if spectral else ortho.gram
-        if value > bound:
-            bound, name = value, "orthoplex"
+        candidates.append((c / d if spectral else ortho.gram, "orthoplex"))
     meet = _intersection_gram(d, c)
     if meet is not None:
-        value = 1.0 if spectral else float(meet)
-        if value > bound:
-            bound, name = value, "intersection"
-    if bound < 0.0:
-        bound, name = 0.0, "trivial"
-    return bound, name
+        candidates.append((1.0 if spectral else float(meet), "intersection"))
+    candidates.append((0.0, "trivial"))
+    return max(candidates, key=lambda candidate: candidate[0])
 
 
 @dataclass(frozen=True)

@@ -146,53 +146,50 @@ def _near(value: float, expected: float, tol: float) -> bool:
     return abs(value - expected) <= tol * max(1.0, abs(expected))
 
 
-def _ectff_verdict(
-    f: FusionFrame, overlaps: np.ndarray, max_frob: float, tol: float
-) -> tuple[bool, float, TightnessResult, EquichordalResult]:
-    """The ECTFF flag and the simplex gap, and the results the flag rests on.
+def _ectff_verdict(f: FusionFrame, overlaps: np.ndarray, tol: float) -> tuple[bool, TightnessResult, EquichordalResult]:
+    """The ECTFF flag and the results it rests on.
 
-    ``overlaps`` are the pair overlaps ||G||_F^2 and ``max_frob`` their
-    largest. ECTFF requires tightness, equi-chordality, and beta at its
-    forced value c(nc-d)/(d(n-1)), the simplex bound.
+    ``overlaps`` are the pair overlaps ||G||_F^2. ECTFF requires
+    tightness, equi-chordality, and beta at its forced value
+    c(nc-d)/(d(n-1)), the simplex bound.
     """
     tight = is_tight_fusion_frame(f, tol)
     chordal = _equichordal(overlaps, tol)
-    beta_expected = bounds.simplex_bound_gram(f.n, f.d, f.c)
-    flag = tight.flag and chordal.flag and _near(chordal.beta, beta_expected, tol)
-    return flag, max_frob - beta_expected, tight, chordal
+    flag = tight.flag and chordal.flag and _near(chordal.beta, bounds.simplex_bound_gram(f.n, f.d, f.c), tol)
+    return flag, tight, chordal
 
 
-def _eitff_verdict(
-    f: FusionFrame, blocks: np.ndarray, products: tuple, is_ectff: bool, tol: float
-) -> tuple[bool, float, EquiisoclinicResult]:
-    """The EITFF flag and gap, and the equi-isoclinicity result the flag rests on.
+def _eitff_verdict(f: FusionFrame, products: tuple, is_ectff: bool, tol: float) -> tuple[bool, EquiisoclinicResult]:
+    """The EITFF flag and the equi-isoclinicity result it rests on.
 
-    ``products`` is ``metrics._pair_products(blocks)``. EITFF requires
-    ECTFF, equi-isoclinicity, and sigma_sq at its forced value
+    ``products`` is ``metrics._pair_products`` of the pair blocks. EITFF
+    requires ECTFF, equi-isoclinicity, and sigma_sq at its forced value
     (nc-d)/(d(n-1)), the EITFF bound.
     """
-    overlaps, fourth, dev_sq, sigma_sq = products
+    _, _, dev_sq, sigma_sq = products
     iso = _equiisoclinic(dev_sq, sigma_sq, f.c, tol)
-    sigma_expected = bounds.eitff_bound(f.n, f.d, f.c)
-    flag = is_ectff and iso.flag and _near(iso.sigma_sq, sigma_expected, tol)
-    return flag, _spectral_max(blocks, overlaps, fourth) - sigma_expected, iso
+    return is_ectff and iso.flag and _near(iso.sigma_sq, bounds.eitff_bound(f.n, f.d, f.c), tol), iso
 
 
 def _verdict(f: FusionFrame, blocks: np.ndarray, name: str, tol: float) -> tuple[bool, float]:
-    """The flag and gap of one structure, as :func:`certify` reports them, bit for bit.
+    """The flag of one structure, as :func:`certify` reports it, and the worst overlap its bound governs.
 
     ``blocks`` is ``metrics._pair_blocks(f.array)``. Under ``name``
-    "simplex" these are ``is_ectff`` and ``simplex_gap``, read off the
-    overlaps alone: no M = G* G and no SVD. Under "eitff" they are
-    ``is_eitff`` and ``eitff_gap``. This is the polish stage's check of
-    each sweep, which reads nothing else of the certificate.
+    "simplex" the flag is ``is_ectff``, read off the overlaps alone (no
+    M = G* G and no SVD), and the overlap is the largest ||G||_F^2.
+    Under "eitff" the flag is ``is_eitff`` and the overlap the largest
+    squared spectral norm. The overlap is measured only when the flag is
+    set, and is inf otherwise; minus the bound it is the certificate's
+    gap, bit for bit. This is the polish stage's check of each sweep.
     """
     if name == "simplex":
         overlaps = _frobenius_sq(blocks)
-        return _ectff_verdict(f, overlaps, float(overlaps.max()), tol)[:2]
+        flag = _ectff_verdict(f, overlaps, tol)[0]
+        return flag, float(overlaps.max()) if flag else math.inf
     products = _pair_products(blocks)
-    is_ectff = _ectff_verdict(f, products[0], float(products[0].max()), tol)[0]
-    return _eitff_verdict(f, blocks, products, is_ectff, tol)[:2]
+    is_ectff = _ectff_verdict(f, products[0], tol)[0]
+    flag = _eitff_verdict(f, products, is_ectff, tol)[0]
+    return flag, _spectral_max(blocks, *products[:2]) if flag else math.inf
 
 
 def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
@@ -214,10 +211,12 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     _check_tol(tol)
     blocks = _pair_blocks(f.array)
     products = _pair_products(blocks)
-    max_frob = float(products[0].max())
-    is_ectff, simplex_gap, tight, chordal = _ectff_verdict(f, products[0], max_frob, tol)
-    is_eitff, eitff_gap, iso = _eitff_verdict(f, blocks, products, is_ectff, tol)
+    is_ectff, tight, chordal = _ectff_verdict(f, products[0], tol)
+    is_eitff, iso = _eitff_verdict(f, products, is_ectff, tol)
 
+    max_frob = float(products[0].max())
+    simplex_gap = max_frob - bounds.simplex_bound_gram(f.n, f.d, f.c)
+    eitff_gap = _spectral_max(blocks, *products[:2]) - bounds.eitff_bound(f.n, f.d, f.c)
     ortho = bounds.orthoplex_bound(f.n, f.d, f.c, f.field)
     orthoplex_gap = None if ortho is None else max_frob - ortho.gram
 

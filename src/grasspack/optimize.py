@@ -29,19 +29,20 @@ restart's descent therefore stops once its true worst overlap is within
 ``POLISH_CUT`` of the bound and hands the frame, once, to a polish stage
 in the Gram domain: an alternating projection between the fusion Gram
 matrices of that bound's optimal structure (ECTFF or EITFF) and those of
-tight fusion frames. Each sweep checks only the certificate's flag and
-gap for that structure. The polished frame is kept only if it sets the
-ECTFF or EITFF flag and its true worst overlap is no worse than
-the descent's; otherwise the same descent runs on. Past the Gerzon
-limit (``"orthoplex"``), when 2c > d (``"intersection"``) and when
-nc < d (``"trivial"``) there is no polish. Each restart runs to its own
-stop: a start already within ``DEFAULT_TOL`` of the governing bound is
-not descended at all, and a restart that ends worse than its start
-keeps the start. ``pack`` and ``polish`` run one search loop, over
-seeded random starts or over the one given frame. Once a restart ends
-within ``DEFAULT_TOL`` of the bound, no later restart could beat it by
-more than that, so the remaining restarts are skipped. The best restart
-wins, with ties broken by the lowest restart index.
+tight fusion frames. Each sweep checks only the certificate's flag for
+that structure and, once it is set, the worst overlap. The polished
+frame is kept only if it sets the ECTFF or EITFF flag and that overlap
+is no worse than the descent's; otherwise the same descent runs on.
+Past the Gerzon limit (``"orthoplex"``), when 2c > d
+(``"intersection"``) and when nc < d (``"trivial"``) there is no
+polish. Each restart runs to its own stop: a start already within
+``DEFAULT_TOL`` of the governing bound is not descended at all, and a
+restart that ends worse than its start keeps the start. ``pack`` and
+``polish`` run one search loop, over seeded random starts or over the
+one given frame. Once a restart ends within ``DEFAULT_TOL`` of the
+bound, no later restart could beat it by more than that, so the
+remaining restarts are skipped. The best restart wins, with ties broken
+by the lowest restart index.
 
 No claim of global optimality is ever made; results report their gap to
 the governing bound and carry a structure certificate.
@@ -283,9 +284,7 @@ def _structural_projection(pairs: np.ndarray, governing: tuple[float, str]) -> n
     return math.sqrt(value) * (u @ vh)
 
 
-def _polish_stage(
-    frame: FusionFrame, achieved: float, governing: tuple[float, str], config: PackConfig
-) -> tuple[FusionFrame, float] | None:
+def _polish_stage(frame: FusionFrame, achieved: float, governing: tuple[float, str]) -> tuple[FusionFrame, float] | None:
     """Alternating projection in the Gram domain from a frame near a "simplex" or "eitff" bound.
 
     Each sweep projects the frame's fusion Gram matrix onto the bound's
@@ -295,30 +294,29 @@ def _polish_stage(
     Theory 2005, and Dhillon, Heath, Strohmer and Tropp, Exp. Math. 2008.
     Each sweep forms the frame's pair blocks once, for both its check and
     its projection. The check is ``certify._verdict``: the certificate's
-    flag of the bound (ECTFF or EITFF) and its gap to the bound, and
-    nothing else of the certificate. The polish stops once that flag is
-    set at POLISH_MARGIN * DEFAULT_TOL with a gap of at most that much,
-    so the result holds its certificate with margin. Otherwise it stops
+    flag of the bound's structure (ECTFF or EITFF) and, once it is set,
+    the worst overlap the bound governs, which is the true criterion
+    value. The polish stops once the flag is set at POLISH_MARGIN *
+    DEFAULT_TOL with that overlap at most that much above the bound, so
+    the result holds its certificate with margin. Otherwise it stops
     after POLISH_SWEEPS sweeps and then needs the flag at DEFAULT_TOL
-    itself. Returns the polished frame and its true worst overlap when
-    the flag is set and that overlap is at most ``achieved``; otherwise
-    None.
+    itself. Returns the polished frame and the overlap its last check
+    measured when the flag is set and that overlap is at most
+    ``achieved``; otherwise None.
     """
-    name = governing[1]
+    value, name = governing
     strict = POLISH_MARGIN * DEFAULT_TOL
     polished = frame
     for _ in range(POLISH_SWEEPS):
         blocks = _pair_blocks(polished.array)
-        flag, gap = _verdict(polished, blocks, name, strict)
-        if flag and gap <= strict:
+        flag, worst = _verdict(polished, blocks, name, strict)
+        if flag and worst - value <= strict:
             break
         mats = _gram_to_frame(_structural_projection(blocks, governing), frame.n, frame.d)
         polished = FusionFrame.from_arrays(mats, frame.field)
     else:
-        if not _verdict(polished, _pair_blocks(polished.array), name, DEFAULT_TOL)[0]:
-            return None
-    value = worst_overlap(polished, config.criterion)
-    return (polished, value) if value <= achieved else None
+        flag, worst = _verdict(polished, _pair_blocks(polished.array), name, DEFAULT_TOL)
+    return (polished, worst) if flag and worst <= achieved else None
 
 
 def _restart(start: FusionFrame, governing: tuple[float, str], config: PackConfig) -> tuple[FusionFrame, float, int]:
@@ -349,7 +347,7 @@ def _restart(start: FusionFrame, governing: tuple[float, str], config: PackConfi
     mats, used, ended = start.array, 0, None
     for used, (mats, fval) in enumerate(itertools.islice(_descend(mats, config.criterion), config.iterations), 1):
         if fval <= pretest and (near := _worst_overlap(mats, config.criterion)) <= target:
-            ended = _polish_stage(FusionFrame.from_arrays(mats, start.field), near, governing, config)
+            ended = _polish_stage(FusionFrame.from_arrays(mats, start.field), near, governing)
             if ended is not None:
                 break
             pretest = -math.inf  # one polish per restart; the descent runs on

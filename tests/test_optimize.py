@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import math
 import re
@@ -555,6 +556,18 @@ class TestEachFrameMeasuredOnce:
         near, _, _ = _handover(monkeypatch, f.array, R, _governing(f, "simplex"), PackConfig(restarts=1))
         assert measured.count(near.array.tobytes()) == 1
 
+    def test_a_polish_measures_its_result_once(self, monkeypatch):
+        # The polish's last verdict measures the result; neither measure runs again.
+        config = PackConfig(restarts=1)
+        f = random_frame(R, 4, 2, 3, 0)
+        governing = _governing(f, "simplex")
+        near, achieved, _ = _handover(monkeypatch, f.array, R, governing, config)
+        counts = _count_calls(monkeypatch, public="worst_overlap", private="_worst_overlap")
+        frame, value = _polish_stage(near, achieved, governing)
+        assert counts == {"public": 0, "private": 0}
+        assert certify(frame).is_ectff
+        assert value == worst_overlap(frame, Criterion.CHORDAL_OVERLAP)
+
     def test_polish_at_the_bound_returns_its_input(self, monkeypatch):
         f = tensor_eitff(regular_simplex(3), 2)
         measured = _record_measurements(monkeypatch)
@@ -651,25 +664,27 @@ class TestPolishStage:
         governing = _governing(f, "simplex")
         near, achieved, _ = _handover(monkeypatch, f.array, R, governing, config)
         assert achieved - governing[0] <= POLISH_CUT
-        frame, value = _polish_stage(near, achieved, governing, config)
+        frame, value = _polish_stage(near, achieved, governing)
         assert frame.n == 3 and value <= achieved
         assert value - governing[0] <= 1e-10
 
     def test_keeps_nothing_worse_than_the_descent(self):
         f = AT_BOUND["simplex-5"]
         # The frame certifies, but its overlap exceeds the descent's claimed value.
-        assert _polish_stage(f, 0.0, _governing(f, "simplex"), PackConfig()) is None
+        assert _polish_stage(f, 0.0, _governing(f, "simplex")) is None
 
     def test_fails_without_an_ectff(self):
         # No five equiangular lines span R^3, so no sweep can set the flag.
         f = random_frame(R, 3, 1, 5, 0)
         achieved = worst_overlap(f, Criterion.CHORDAL_OVERLAP)
-        assert _polish_stage(f, achieved, _governing(f, "simplex"), PackConfig()) is None
+        assert _polish_stage(f, achieved, _governing(f, "simplex")) is None
 
     @pytest.mark.parametrize("source", ["at-bound", "random", "polish-R-4-2-3", "polish-C-3-1-7"])
     def test_its_check_is_the_certificate_flag_and_gap(self, monkeypatch, source):
-        # Each sweep's check must be the certificate's own flag and gap,
-        # bit for bit, under both structures and at both tolerances.
+        # Each sweep's check must be the certificate's own flag and, once it
+        # is set, the true worst overlap, which minus the bound is the
+        # certificate's gap, bit for bit, under both structures and at both
+        # tolerances.
         if source == "at-bound":
             frames = list(AT_BOUND.values())
         elif source == "random":
@@ -683,13 +698,33 @@ class TestPolishStage:
             field, d, c, n = {"polish-R-4-2-3": (R, 4, 2, 3), "polish-C-3-1-7": (C, 3, 1, 7)}[source]
             assert pack(field, d, c, n, PackConfig(restarts=1)).certificate.is_ectff
             assert len(frames) > 1
+        structures = (
+            ("simplex", "is_ectff", "simplex_gap", simplex_bound_gram, Criterion.CHORDAL_OVERLAP),
+            ("eitff", "is_eitff", "eitff_gap", eitff_bound, Criterion.SPECTRAL_OVERLAP),
+        )
         for f in frames:
             for tol in (optimize.POLISH_MARGIN * DEFAULT_TOL, DEFAULT_TOL):
                 cert = certify(f, tol)
-                for name, flag, gap in (("simplex", "is_ectff", "simplex_gap"), ("eitff", "is_eitff", "eitff_gap")):
-                    got_flag, got_gap = _verdict(f, _pair_blocks(f.array), name, tol)
+                for name, flag, gap, bound, criterion in structures:
+                    got_flag, worst = _verdict(f, _pair_blocks(f.array), name, tol)
                     assert got_flag == getattr(cert, flag)
-                    assert got_gap.hex() == getattr(cert, gap).hex()
+                    if got_flag:
+                        assert (worst - bound(f.n, f.d, f.c)).hex() == getattr(cert, gap).hex()
+                        assert worst.hex() == worst_overlap(f, criterion).hex()
+                    else:
+                        assert worst == math.inf
+
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_an_eitff_verdict_measures_only_a_flagged_frame(self, monkeypatch, flagged):
+        # The worst spectral overlap, and so its SVD, waits for the EITFF flag.
+        f = AT_BOUND["eitff-13x3"] if flagged else random_frame(R, 4, 2, 3, 0)
+        module = importlib.import_module("grasspack.certify")
+        spectral_max, measured = module._spectral_max, []
+        monkeypatch.setattr(module, "_spectral_max", lambda *args: measured.append(args) or spectral_max(*args))
+        flag, worst = _verdict(f, _pair_blocks(f.array), "eitff", DEFAULT_TOL)
+        assert flag == flagged
+        assert len(measured) == int(flagged)
+        assert worst == (worst_overlap(f, Criterion.SPECTRAL_OVERLAP) if flagged else math.inf)
 
 
 def _count_polishes(monkeypatch, fail: bool = False) -> list:
