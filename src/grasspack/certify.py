@@ -23,6 +23,7 @@ from ._rules import DEFAULT_TOL, _check_tol
 # wraps grasspack.certify.cross_gramian.
 from .metrics import (  # noqa: F401
     FusionFrame,
+    _frame_operator,
     _frobenius_sq,
     _pair_blocks,
     _pair_products,
@@ -93,6 +94,14 @@ class Certificate:
         return asdict(self)
 
 
+def _tight(s: np.ndarray, shape: tuple, tol: float) -> TightnessResult:
+    """Tightness of an (n, d, c) stack from its frame operator ``s``."""
+    n, d, c = shape
+    alpha = n * c / d
+    residual = float(np.linalg.norm(s - alpha * np.eye(d))) / (alpha * math.sqrt(d))
+    return TightnessResult(flag=residual <= tol, residual=residual, alpha=alpha)
+
+
 def is_tight_fusion_frame(f: FusionFrame, tol: float = DEFAULT_TOL) -> TightnessResult:
     """Check that the projections sum to (nc/d) I.
 
@@ -100,10 +109,7 @@ def is_tight_fusion_frame(f: FusionFrame, tol: float = DEFAULT_TOL) -> Tightness
     ||sum P_j - (nc/d) I||_F / ((nc/d) sqrt(d)) is measured.
     """
     _check_tol(tol)
-    alpha = f.n * f.c / f.d
-    s = fusion_frame_operator(f).array
-    residual = float(np.linalg.norm(s - alpha * np.eye(f.d))) / (alpha * math.sqrt(f.d))
-    return TightnessResult(flag=residual <= tol, residual=residual, alpha=alpha)
+    return _tight(fusion_frame_operator(f).array, f.array.shape, tol)
 
 
 def _equichordal(overlaps: np.ndarray, tol: float) -> EquichordalResult:
@@ -146,49 +152,47 @@ def _near(value: float, expected: float, tol: float) -> bool:
     return abs(value - expected) <= tol * max(1.0, abs(expected))
 
 
-def _ectff_verdict(f: FusionFrame, overlaps: np.ndarray, tol: float) -> tuple[bool, TightnessResult, EquichordalResult]:
-    """The ECTFF flag and the results it rests on.
+def _ectff_verdict(tight: TightnessResult, overlaps: np.ndarray, shape: tuple, tol: float) -> tuple[bool, EquichordalResult]:
+    """The ECTFF flag of an (n, d, c) stack and the equi-chordality result it rests on.
 
     ``overlaps`` are the pair overlaps ||G||_F^2. ECTFF requires
     tightness, equi-chordality, and beta at its forced value
     c(nc-d)/(d(n-1)), the simplex bound.
     """
-    tight = is_tight_fusion_frame(f, tol)
     chordal = _equichordal(overlaps, tol)
-    flag = tight.flag and chordal.flag and _near(chordal.beta, bounds.simplex_bound_gram(f.n, f.d, f.c), tol)
-    return flag, tight, chordal
+    return tight.flag and chordal.flag and _near(chordal.beta, bounds.simplex_bound_gram(*shape), tol), chordal
 
 
-def _eitff_verdict(f: FusionFrame, products: tuple, is_ectff: bool, tol: float) -> tuple[bool, EquiisoclinicResult]:
-    """The EITFF flag and the equi-isoclinicity result it rests on.
+def _eitff_verdict(products: tuple, is_ectff: bool, shape: tuple, tol: float) -> tuple[bool, EquiisoclinicResult]:
+    """The EITFF flag of an (n, d, c) stack and the equi-isoclinicity result it rests on.
 
     ``products`` is ``metrics._pair_products`` of the pair blocks. EITFF
     requires ECTFF, equi-isoclinicity, and sigma_sq at its forced value
     (nc-d)/(d(n-1)), the EITFF bound.
     """
     _, _, dev_sq, sigma_sq = products
-    iso = _equiisoclinic(dev_sq, sigma_sq, f.c, tol)
-    return is_ectff and iso.flag and _near(iso.sigma_sq, bounds.eitff_bound(f.n, f.d, f.c), tol), iso
+    iso = _equiisoclinic(dev_sq, sigma_sq, shape[2], tol)
+    return is_ectff and iso.flag and _near(iso.sigma_sq, bounds.eitff_bound(*shape), tol), iso
 
 
-def _verdict(f: FusionFrame, blocks: np.ndarray, name: str, tol: float) -> tuple[bool, float]:
+def _verdict(x: np.ndarray, blocks: np.ndarray, name: str, tol: float) -> tuple[bool, float]:
     """The flag of one structure, as :func:`certify` reports it, and the worst overlap its bound governs.
 
-    ``blocks`` is ``metrics._pair_blocks(f.array)``. Under ``name``
-    "simplex" the flag is ``is_ectff``, read off the overlaps alone (no
-    M = G* G and no SVD), and the overlap is the largest ||G||_F^2.
-    Under "eitff" the flag is ``is_eitff`` and the overlap the largest
-    squared spectral norm. The overlap is measured only when the flag is
-    set, and is inf otherwise; minus the bound it is the certificate's
-    gap, bit for bit. This is the polish stage's check of each sweep.
+    ``blocks`` is ``metrics._pair_blocks(x)`` of an (n, d, c) stack. Under
+    ``name`` "simplex" the flag is ``is_ectff``, read off the overlaps
+    alone (no M = G* G and no SVD), and the overlap is the largest
+    ||G||_F^2. Under "eitff" the flag is ``is_eitff``, checked only once
+    the ECTFF flag it needs is set, and the overlap the largest squared
+    spectral norm. The overlap is measured only when the flag is set, and
+    is inf otherwise; minus the bound it is the certificate's gap, bit for
+    bit. This is the polish stage's check of each sweep.
     """
-    if name == "simplex":
-        overlaps = _frobenius_sq(blocks)
-        flag = _ectff_verdict(f, overlaps, tol)[0]
+    overlaps = _frobenius_sq(blocks)
+    flag = _ectff_verdict(_tight(_frame_operator(x), x.shape, tol), overlaps, x.shape, tol)[0]
+    if name == "simplex" or not flag:
         return flag, float(overlaps.max()) if flag else math.inf
     products = _pair_products(blocks)
-    is_ectff = _ectff_verdict(f, products[0], tol)[0]
-    flag = _eitff_verdict(f, products, is_ectff, tol)[0]
+    flag = _eitff_verdict(products, flag, x.shape, tol)[0]
     return flag, _spectral_max(blocks, *products[:2]) if flag else math.inf
 
 
@@ -211,8 +215,9 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     _check_tol(tol)
     blocks = _pair_blocks(f.array)
     products = _pair_products(blocks)
-    is_ectff, tight, chordal = _ectff_verdict(f, products[0], tol)
-    is_eitff, iso = _eitff_verdict(f, products, is_ectff, tol)
+    tight = is_tight_fusion_frame(f, tol)
+    is_ectff, chordal = _ectff_verdict(tight, products[0], f.array.shape, tol)
+    is_eitff, iso = _eitff_verdict(products, is_ectff, f.array.shape, tol)
 
     max_frob = float(products[0].max())
     simplex_gap = max_frob - bounds.simplex_bound_gram(f.n, f.d, f.c)

@@ -198,7 +198,7 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(d, n * c)
 
 
-# Largest product that _pair_blocks and fusion_frame_operator hand to
+# Largest product that _pair_blocks and _frame_operator hand to
 # BLAS, in real multiply-adds (a complex one counts 4). OpenBLAS runs a
 # larger product on its worker thread, which then busy-waits for about
 # 0.1 s and slows whatever runs next on a small machine. On OpenBLAS
@@ -410,22 +410,25 @@ def fusion_gram(f: FusionFrame) -> Mat:
     return Mat(_block_matrix(_pair_blocks(f.array), f.n, True), f.field)
 
 
-def fusion_frame_operator(f: FusionFrame) -> Mat:
-    """Sum of the n orthogonal projections, a d x d PSD matrix of trace nc.
+def _frame_operator(x: np.ndarray) -> np.ndarray:
+    """X X* of the d x nc matrix X of all bases of an (n, d, c) stack.
 
-    Computed as X X* of the d x nc matrix X of all bases. A frame that
-    fits in one product of at most _SERIAL_PRODUCT multiply-adds, as every
-    search frame does, takes X X* at once; a larger one sums X X* over
-    column chunks of that size, so every product runs on the calling
-    thread.
+    A stack that fits in one product of at most _SERIAL_PRODUCT
+    multiply-adds, as every search frame does, takes X X* at once; a
+    larger one sums X X* over column chunks of that size, so every
+    product runs on the calling thread.
     """
-    flat = _flat(f.array)
-    depth = _depth(f.array)
+    flat, depth = _flat(x), _depth(x)
     if flat.size * depth <= _SERIAL_PRODUCT:
-        return Mat(flat @ flat.conj().T, f.field)
-    width = max(1, _SERIAL_PRODUCT // (f.d * depth))
+        return flat @ flat.conj().T
+    width = max(1, _SERIAL_PRODUCT // (x.shape[1] * depth))
     parts = np.split(flat, range(width, flat.shape[1], width), axis=1)
-    return Mat(sum(p @ p.conj().T for p in parts), f.field)
+    return sum(p @ p.conj().T for p in parts)
+
+
+def fusion_frame_operator(f: FusionFrame) -> Mat:
+    """Sum of the n orthogonal projections, a d x d PSD matrix of trace nc (:func:`_frame_operator`)."""
+    return Mat(_frame_operator(f.array), f.field)
 
 
 def principal_angles(b1: SubspaceBasis, b2: SubspaceBasis) -> PrincipalAngles:

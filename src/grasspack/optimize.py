@@ -39,8 +39,11 @@ polish. Each restart runs to its own stop: a start already within
 ``DEFAULT_TOL`` of the governing bound is not descended at all, and a
 restart that ends worse than its start keeps the start. ``pack`` and
 ``polish`` run one search loop, over seeded random starts or over the
-one given frame. Once a restart ends within ``DEFAULT_TOL`` of the
-bound, no later restart could beat it by more than that, so the
+one given frame. Restarts run on bare (n, d, c) stacks: only a winner
+that is not its own start is validated, as the result's FusionFrame, and
+a non-finite polish sweep ends in the NumericalError of the next sweep's
+eigendecomposition or SVD. Once a restart ends within ``DEFAULT_TOL``
+of the bound, no later restart could beat it by more than that, so the
 remaining restarts are skipped. The best restart wins, with ties broken
 by the lowest restart index.
 
@@ -284,15 +287,15 @@ def _structural_projection(pairs: np.ndarray, governing: tuple[float, str]) -> n
     return math.sqrt(value) * (u @ vh)
 
 
-def _polish_stage(frame: FusionFrame, achieved: float, governing: tuple[float, str]) -> tuple[FusionFrame, float] | None:
-    """Alternating projection in the Gram domain from a frame near a "simplex" or "eitff" bound.
+def _polish_stage(x: np.ndarray, achieved: float, governing: tuple[float, str]) -> tuple[np.ndarray, float] | None:
+    """Alternating projection in the Gram domain from an (n, d, c) stack near a "simplex" or "eitff" bound.
 
-    Each sweep projects the frame's fusion Gram matrix onto the bound's
-    structural set and factors the result back to a frame, which lands
+    Each sweep projects the stack's fusion Gram matrix onto the bound's
+    structural set and factors the result back to a stack, which lands
     it near the spectral set of tight fusion frames (nc/d times a rank-d
     projection); Tropp, Dhillon, Heath and Strohmer, IEEE Trans. Inf.
     Theory 2005, and Dhillon, Heath, Strohmer and Tropp, Exp. Math. 2008.
-    Each sweep forms the frame's pair blocks once, for both its check and
+    Each sweep forms the stack's pair blocks once, for both its check and
     its projection. The check is ``certify._verdict``: the certificate's
     flag of the bound's structure (ECTFF or EITFF) and, once it is set,
     the worst overlap the bound governs, which is the true criterion
@@ -300,27 +303,26 @@ def _polish_stage(frame: FusionFrame, achieved: float, governing: tuple[float, s
     DEFAULT_TOL with that overlap at most that much above the bound, so
     the result holds its certificate with margin. Otherwise it stops
     after POLISH_SWEEPS sweeps and then needs the flag at DEFAULT_TOL
-    itself. Returns the polished frame and the overlap its last check
+    itself. Returns the polished stack and the overlap its last check
     measured when the flag is set and that overlap is at most
     ``achieved``; otherwise None.
     """
     value, name = governing
     strict = POLISH_MARGIN * DEFAULT_TOL
-    polished = frame
+    polished = x
     for _ in range(POLISH_SWEEPS):
-        blocks = _pair_blocks(polished.array)
+        blocks = _pair_blocks(polished)
         flag, worst = _verdict(polished, blocks, name, strict)
         if flag and worst - value <= strict:
             break
-        mats = _gram_to_frame(_structural_projection(blocks, governing), frame.n, frame.d)
-        polished = FusionFrame.from_arrays(mats, frame.field)
+        polished = _gram_to_frame(_structural_projection(blocks, governing), *x.shape[:2])
     else:
-        flag, worst = _verdict(polished, _pair_blocks(polished.array), name, DEFAULT_TOL)
+        flag, worst = _verdict(polished, _pair_blocks(polished), name, DEFAULT_TOL)
     return (polished, worst) if flag and worst <= achieved else None
 
 
-def _restart(start: FusionFrame, governing: tuple[float, str], config: PackConfig) -> tuple[FusionFrame, float, int]:
-    """One restart from ``start``: its frame, true worst overlap and descent iterations.
+def _restart(start: np.ndarray, governing: tuple[float, str], config: PackConfig) -> tuple[np.ndarray, float, int]:
+    """One restart from the (n, d, c) stack ``start``: its stack, true worst overlap and descent iterations.
 
     The start is measured once; within DEFAULT_TOL of the bound it is
     returned itself. Otherwise one descent runs for at most
@@ -334,26 +336,26 @@ def _restart(start: FusionFrame, governing: tuple[float, str], config: PackConfi
     chordal overlap itself or, for the spectral criterion, at most
     c^(1/p) times the squared spectral norm. The one exit returns the
     start itself, with 0 iterations, when it is better than the
-    polished or descended frame the restart ends on.
+    polished or descended stack the restart ends on.
     """
     value, name = governing
-    start_value = _worst_overlap(start.array, config.criterion)
+    n, _, c = start.shape
+    start_value = _worst_overlap(start, config.criterion)
     if start_value - value <= DEFAULT_TOL:
         return start, start_value, 0
     target, pretest = value + POLISH_CUT, -math.inf
     if name in _STRUCTURES:
-        surrogate = start.c ** (1.0 / SPECTRAL_SMOOTHING_POWER) if config.criterion is Criterion.SPECTRAL_OVERLAP else 1.0
-        pretest = surrogate * target + math.log(start.n * (start.n - 1) // 2) / SMOOTHING
-    mats, used, ended = start.array, 0, None
+        surrogate = c ** (1.0 / SPECTRAL_SMOOTHING_POWER) if config.criterion is Criterion.SPECTRAL_OVERLAP else 1.0
+        pretest = surrogate * target + math.log(n * (n - 1) // 2) / SMOOTHING
+    mats, used, ended = start, 0, None
     for used, (mats, fval) in enumerate(itertools.islice(_descend(mats, config.criterion), config.iterations), 1):
         if fval <= pretest and (near := _worst_overlap(mats, config.criterion)) <= target:
-            ended = _polish_stage(FusionFrame.from_arrays(mats, start.field), near, governing)
+            ended = _polish_stage(mats, near, governing)
             if ended is not None:
                 break
             pretest = -math.inf  # one polish per restart; the descent runs on
     if ended is None:
-        frame = FusionFrame.from_arrays(mats, start.field)
-        ended = frame, worst_overlap(frame, config.criterion)
+        ended = mats, _worst_overlap(mats, config.criterion)
     return (start, start_value, 0) if start_value < ended[1] else (*ended, used)
 
 
@@ -362,17 +364,19 @@ def _search(starts: Iterable[FusionFrame], field: FieldTag, d: int, c: int, n: i
 
     The governing bound is computed, which checks (n, d, c), before the
     first start is drawn. The loop stops after the first restart within
-    DEFAULT_TOL of the bound.
+    DEFAULT_TOL of the bound. Restarts run on bare stacks, and only a
+    winner that is not its own start is validated, as a FusionFrame.
     """
     value, name = bounds.governing_bound(n, d, c, field, config.criterion is Criterion.SPECTRAL_OVERLAP)
-    best: tuple[float, int, FusionFrame, int] | None = None
+    best: tuple[float, int, np.ndarray, int, FusionFrame] | None = None
     for r, start in enumerate(starts):
-        frame, achieved, used = _restart(start, (value, name), config)
+        mats, achieved, used = _restart(start.array, (value, name), config)
         if best is None or achieved < best[0]:
-            best = (achieved, r, frame, used)
+            best = (achieved, r, mats, used, start)
         if achieved - value <= DEFAULT_TOL:
             break
-    achieved, restart_index, frame, used = best
+    achieved, restart_index, mats, used, start = best
+    frame = start if mats is start.array else FusionFrame.from_arrays(mats, field)
     return PackResult(
         frame=frame, achieved=achieved, bound=value, bound_name=name, gap=achieved - value,
         certificate=certify(frame, DEFAULT_TOL), iterations_used=used, restart_index=restart_index,

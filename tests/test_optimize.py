@@ -209,12 +209,12 @@ def _run_descent(mats, criterion, budget):
     return iterates[-1], len(iterates) - 1
 
 
-def _handover(monkeypatch, mats, field, governing, config):
-    """_restart with a polish stage that keeps whatever it is handed: the
-    iterate handed over, its true value and the iterations used."""
+def _handover(monkeypatch, mats, governing, config):
+    """_restart from the stack ``mats`` with a polish stage that keeps whatever
+    it is handed: the stack handed over, its true value and the iterations used."""
     handed = []
-    monkeypatch.setattr(optimize, "_polish_stage", lambda frame, achieved, *_: handed.append(frame) or (frame, achieved))
-    result = _restart(FusionFrame.from_arrays(mats, field), governing, config)
+    monkeypatch.setattr(optimize, "_polish_stage", lambda x, achieved, *_: handed.append(x) or (x, achieved))
+    result = _restart(mats, governing, config)
     assert len(handed) == 1
     return result
 
@@ -300,8 +300,7 @@ class TestDescend:
         if with_target:
             # A cut of 0 makes _restart's handover target exactly ``target``.
             monkeypatch.setattr(optimize, "POLISH_CUT", 0.0)
-            frame, _, used = _handover(monkeypatch, start, field, (target, "simplex"), config)
-            mats = frame.array
+            mats, _, used = _handover(monkeypatch, start, (target, "simplex"), config)
         else:
             mats, used = _run_descent(start, criterion, budget)
         assert mats.tobytes() == expected.tobytes()
@@ -553,18 +552,19 @@ class TestEachFrameMeasuredOnce:
     def test_a_handover_measures_its_iterate_once(self, monkeypatch):
         f = random_frame(R, 4, 2, 3, 0)
         measured = _record_measurements(monkeypatch)
-        near, _, _ = _handover(monkeypatch, f.array, R, _governing(f, "simplex"), PackConfig(restarts=1))
-        assert measured.count(near.array.tobytes()) == 1
+        near, _, _ = _handover(monkeypatch, f.array, _governing(f, "simplex"), PackConfig(restarts=1))
+        assert measured.count(near.tobytes()) == 1
 
     def test_a_polish_measures_its_result_once(self, monkeypatch):
         # The polish's last verdict measures the result; neither measure runs again.
         config = PackConfig(restarts=1)
         f = random_frame(R, 4, 2, 3, 0)
         governing = _governing(f, "simplex")
-        near, achieved, _ = _handover(monkeypatch, f.array, R, governing, config)
+        near, achieved, _ = _handover(monkeypatch, f.array, governing, config)
         counts = _count_calls(monkeypatch, public="worst_overlap", private="_worst_overlap")
-        frame, value = _polish_stage(near, achieved, governing)
+        x, value = _polish_stage(near, achieved, governing)
         assert counts == {"public": 0, "private": 0}
+        frame = FusionFrame.from_arrays(x, R)
         assert certify(frame).is_ectff
         assert value == worst_overlap(frame, Criterion.CHORDAL_OVERLAP)
 
@@ -575,6 +575,29 @@ class TestEachFrameMeasuredOnce:
         assert measured == [f.array.tobytes()]
         assert result.frame is f
         assert result.iterations_used == 0
+
+
+def _count_validations(monkeypatch) -> list:
+    """Record every FusionFrame.from_arrays call."""
+    calls, from_arrays = [], FusionFrame.from_arrays
+    monkeypatch.setattr(FusionFrame, "from_arrays", staticmethod(lambda *args, **kwargs: calls.append(args) or from_arrays(*args, **kwargs)))
+    return calls
+
+
+class TestOneValidatedFrame:
+    def test_polish_validates_only_its_result(self, monkeypatch):
+        f = random_frame(R, 4, 2, 3, 0)
+        calls = _count_validations(monkeypatch)
+        result = polish(f)
+        assert result.iterations_used > 0
+        assert len(calls) == 1
+
+    def test_pack_validates_each_start_and_its_result(self, monkeypatch):
+        starts = _count_restarts(monkeypatch)
+        calls = _count_validations(monkeypatch)
+        result = pack(C, 3, 1, 9)
+        assert result.iterations_used > 0
+        assert len(calls) == len(starts) + 1
 
 
 class TestEveryRestartKeepsABetterStart:
@@ -596,15 +619,15 @@ class TestEveryRestartKeepsABetterStart:
         monkeypatch.setattr(optimize, "POLISH_CUT", 10.0)
         polished = []
 
-        def worse(frame, achieved, *_):
-            polished.append(FusionFrame.from_arrays(np.stack([frame.array[0]] * 3), frame.field))
-            return polished[-1], worst_overlap(polished[-1], Criterion.CHORDAL_OVERLAP)
+        def worse(x, achieved, *_):
+            polished.append(np.stack([x[0]] * 3))
+            return polished[-1], _worst_overlap(polished[-1], Criterion.CHORDAL_OVERLAP)
 
         monkeypatch.setattr(optimize, "_polish_stage", worse)
         result = pack(R, 4, 2, 3, PackConfig(iterations=40, restarts=1))
         (args,), (frame,) = calls, polished
         start = random_frame(*args)
-        assert worst_overlap(frame, Criterion.CHORDAL_OVERLAP) > worst_overlap(start, Criterion.CHORDAL_OVERLAP)
+        assert _worst_overlap(frame, Criterion.CHORDAL_OVERLAP) > worst_overlap(start, Criterion.CHORDAL_OVERLAP)
         assert result.frame.array.tobytes() == start.array.tobytes()
         assert result.iterations_used == 0
 
@@ -662,22 +685,22 @@ class TestPolishStage:
         config = PackConfig(restarts=1)
         f = random_frame(R, 4, 2, 3, 0)
         governing = _governing(f, "simplex")
-        near, achieved, _ = _handover(monkeypatch, f.array, R, governing, config)
+        near, achieved, _ = _handover(monkeypatch, f.array, governing, config)
         assert achieved - governing[0] <= POLISH_CUT
-        frame, value = _polish_stage(near, achieved, governing)
-        assert frame.n == 3 and value <= achieved
+        x, value = _polish_stage(near, achieved, governing)
+        assert x.shape == near.shape and value <= achieved
         assert value - governing[0] <= 1e-10
 
     def test_keeps_nothing_worse_than_the_descent(self):
         f = AT_BOUND["simplex-5"]
         # The frame certifies, but its overlap exceeds the descent's claimed value.
-        assert _polish_stage(f, 0.0, _governing(f, "simplex")) is None
+        assert _polish_stage(f.array, 0.0, _governing(f, "simplex")) is None
 
     def test_fails_without_an_ectff(self):
         # No five equiangular lines span R^3, so no sweep can set the flag.
         f = random_frame(R, 3, 1, 5, 0)
         achieved = worst_overlap(f, Criterion.CHORDAL_OVERLAP)
-        assert _polish_stage(f, achieved, _governing(f, "simplex")) is None
+        assert _polish_stage(f.array, achieved, _governing(f, "simplex")) is None
 
     @pytest.mark.parametrize("source", ["at-bound", "random", "polish-R-4-2-3", "polish-C-3-1-7"])
     def test_its_check_is_the_certificate_flag_and_gap(self, monkeypatch, source):
@@ -691,11 +714,11 @@ class TestPolishStage:
             shapes = [(R, 4, 2, 3), (C, 3, 1, 7), (C, 6, 3, 5), (R, 6, 2, 16)]
             frames = [random_frame(*shape, seed) for shape in shapes for seed in (0, 1)]
         else:
-            # Every frame a default pack's polish checks, one per sweep.
+            # Every stack a default pack's polish checks, one per sweep.
             frames = []
             verdict = optimize._verdict
-            monkeypatch.setattr(optimize, "_verdict", lambda f, *args: frames.append(f) or verdict(f, *args))
             field, d, c, n = {"polish-R-4-2-3": (R, 4, 2, 3), "polish-C-3-1-7": (C, 3, 1, 7)}[source]
+            monkeypatch.setattr(optimize, "_verdict", lambda x, *args: frames.append(FusionFrame.from_arrays(x, field)) or verdict(x, *args))
             assert pack(field, d, c, n, PackConfig(restarts=1)).certificate.is_ectff
             assert len(frames) > 1
         structures = (
@@ -706,7 +729,7 @@ class TestPolishStage:
             for tol in (optimize.POLISH_MARGIN * DEFAULT_TOL, DEFAULT_TOL):
                 cert = certify(f, tol)
                 for name, flag, gap, bound, criterion in structures:
-                    got_flag, worst = _verdict(f, _pair_blocks(f.array), name, tol)
+                    got_flag, worst = _verdict(f.array, _pair_blocks(f.array), name, tol)
                     assert got_flag == getattr(cert, flag)
                     if got_flag:
                         assert (worst - bound(f.n, f.d, f.c)).hex() == getattr(cert, gap).hex()
@@ -716,15 +739,36 @@ class TestPolishStage:
 
     @pytest.mark.parametrize("flagged", [False, True])
     def test_an_eitff_verdict_measures_only_a_flagged_frame(self, monkeypatch, flagged):
-        # The worst spectral overlap, and so its SVD, waits for the EITFF flag.
+        # The worst spectral overlap, and so its SVD, waits for the EITFF
+        # flag, and the products M = G* G wait for the ECTFF flag it needs.
         f = AT_BOUND["eitff-13x3"] if flagged else random_frame(R, 4, 2, 3, 0)
         module = importlib.import_module("grasspack.certify")
-        spectral_max, measured = module._spectral_max, []
+        spectral_max, pair_products, measured, products = module._spectral_max, module._pair_products, [], []
         monkeypatch.setattr(module, "_spectral_max", lambda *args: measured.append(args) or spectral_max(*args))
-        flag, worst = _verdict(f, _pair_blocks(f.array), "eitff", DEFAULT_TOL)
+        monkeypatch.setattr(module, "_pair_products", lambda *args: products.append(args) or pair_products(*args))
+        flag, worst = _verdict(f.array, _pair_blocks(f.array), "eitff", DEFAULT_TOL)
         assert flag == flagged
-        assert len(measured) == int(flagged)
+        assert len(measured) == len(products) == int(flagged)
         assert worst == (worst_overlap(f, Criterion.SPECTRAL_OVERLAP) if flagged else math.inf)
+
+
+    @pytest.mark.parametrize("name", ["simplex", "eitff"])
+    def test_a_non_finite_sweep_is_a_numerical_error(self, monkeypatch, name):
+        # The first sweep factors to NaN, which sets no flag; the next
+        # sweep's eigendecomposition ("simplex") or SVD ("eitff") raises
+        # NumericalError (exit 2), not the ValueError of a bad input.
+        f = random_frame(R, 4, 2, 3, 0)
+        gram_to_frame, sweeps = optimize._gram_to_frame, []
+
+        def nan_once(pairs, n, d):
+            sweeps.append(n)
+            x = gram_to_frame(pairs, n, d)
+            return np.full_like(x, np.nan) if len(sweeps) == 1 else x
+
+        monkeypatch.setattr(optimize, "_gram_to_frame", nan_once)
+        with pytest.raises(NumericalError):
+            _polish_stage(f.array, math.inf, _governing(f, name))
+        assert len(sweeps) == (2 if name == "simplex" else 1)
 
 
 def _count_polishes(monkeypatch, fail: bool = False) -> list:
