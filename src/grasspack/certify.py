@@ -143,7 +143,8 @@ def is_equiisoclinic(f: FusionFrame, tol: float = DEFAULT_TOL) -> EquiisoclinicR
     products G* G is kept.
     """
     _check_tol(tol)
-    _, _, dev_sq, sigma_sq = _pair_products(_pair_blocks(f.array))
+    blocks = _pair_blocks(f.array)
+    _, dev_sq, sigma_sq = _pair_products(blocks, _frobenius_sq(blocks))
     return _equiisoclinic(dev_sq, sigma_sq, f.c, tol)
 
 
@@ -163,14 +164,13 @@ def _ectff_verdict(tight: TightnessResult, overlaps: np.ndarray, shape: tuple, t
     return tight.flag and chordal.flag and _near(chordal.beta, bounds.simplex_bound_gram(*shape), tol), chordal
 
 
-def _eitff_verdict(products: tuple, is_ectff: bool, shape: tuple, tol: float) -> tuple[bool, EquiisoclinicResult]:
+def _eitff_verdict(dev_sq: np.ndarray, sigma_sq: float, is_ectff: bool, shape: tuple, tol: float) -> tuple[bool, EquiisoclinicResult]:
     """The EITFF flag of an (n, d, c) stack and the equi-isoclinicity result it rests on.
 
-    ``products`` is ``metrics._pair_products`` of the pair blocks. EITFF
-    requires ECTFF, equi-isoclinicity, and sigma_sq at its forced value
-    (nc-d)/(d(n-1)), the EITFF bound.
+    ``dev_sq`` and ``sigma_sq`` are from ``metrics._pair_products`` of the
+    pair blocks. EITFF requires ECTFF, equi-isoclinicity, and sigma_sq at
+    its forced value (nc-d)/(d(n-1)), the EITFF bound.
     """
-    _, _, dev_sq, sigma_sq = products
     iso = _equiisoclinic(dev_sq, sigma_sq, shape[2], tol)
     return is_ectff and iso.flag and _near(iso.sigma_sq, bounds.eitff_bound(*shape), tol), iso
 
@@ -191,9 +191,9 @@ def _verdict(x: np.ndarray, blocks: np.ndarray, name: str, tol: float) -> tuple[
     flag = _ectff_verdict(_tight(_frame_operator(x), x.shape, tol), overlaps, x.shape, tol)[0]
     if name == "simplex" or not flag:
         return flag, float(overlaps.max()) if flag else math.inf
-    products = _pair_products(blocks)
-    flag = _eitff_verdict(products, flag, x.shape, tol)[0]
-    return flag, _spectral_max(blocks, *products[:2]) if flag else math.inf
+    fourth, dev_sq, sigma_sq = _pair_products(blocks, overlaps)
+    flag = _eitff_verdict(dev_sq, sigma_sq, flag, x.shape, tol)[0]
+    return flag, _spectral_max(blocks, overlaps, fourth) if flag else math.inf
 
 
 def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
@@ -214,14 +214,15 @@ def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:
     """
     _check_tol(tol)
     blocks = _pair_blocks(f.array)
-    products = _pair_products(blocks)
+    overlaps = _frobenius_sq(blocks)
+    fourth, dev_sq, sigma_sq = _pair_products(blocks, overlaps)
     tight = is_tight_fusion_frame(f, tol)
-    is_ectff, chordal = _ectff_verdict(tight, products[0], f.array.shape, tol)
-    is_eitff, iso = _eitff_verdict(products, is_ectff, f.array.shape, tol)
+    is_ectff, chordal = _ectff_verdict(tight, overlaps, f.array.shape, tol)
+    is_eitff, iso = _eitff_verdict(dev_sq, sigma_sq, is_ectff, f.array.shape, tol)
 
-    max_frob = float(products[0].max())
+    max_frob = float(overlaps.max())
     simplex_gap = max_frob - bounds.simplex_bound_gram(f.n, f.d, f.c)
-    eitff_gap = _spectral_max(blocks, *products[:2]) - bounds.eitff_bound(f.n, f.d, f.c)
+    eitff_gap = _spectral_max(blocks, overlaps, fourth) - bounds.eitff_bound(f.n, f.d, f.c)
     ortho = bounds.orthoplex_bound(f.n, f.d, f.c, f.field)
     orthoplex_gap = None if ortho is None else max_frob - ortho.gram
 

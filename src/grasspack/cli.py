@@ -362,51 +362,43 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="grasspack", description="Subspace packing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fmt = {"choices": ("human", "json"), "default": "human"}
+    # Each option shared by several commands is declared once, in a parent.
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("human", "json"), default="human")
+    output = argparse.ArgumentParser(add_help=False, parents=[report])
+    output.add_argument("-o", "--output", default=None)
+    shape = argparse.ArgumentParser(add_help=False)
+    for name in ("--n", "--d", "--c"):
+        shape.add_argument(name, type=int, required=True)
+    shape.add_argument("--field", default="R")
 
-    p = sub.add_parser("bounds", help="evaluate every packing bound for (n, d, c)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--field", default="R")
-    p.add_argument("--format", **fmt)
+    p = sub.add_parser("bounds", parents=[shape, report], help="evaluate every packing bound for (n, d, c)")
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("certify", help="certify the structure of a frame file")
+    p = sub.add_parser("certify", parents=[report], help="certify the structure of a frame file")
     p.add_argument("frame")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--format", **fmt)
     p.set_defaults(handler=_cmd_certify)
 
-    p = sub.add_parser("angles", help="principal angles and distances for one pair")
+    p = sub.add_parser("angles", parents=[report], help="principal angles and distances for one pair")
     p.add_argument("frame")
     p.add_argument("--i", type=int, required=True, help="first subspace, 1-based")
     p.add_argument("--j", type=int, required=True, help="second subspace, 1-based")
-    p.add_argument("--format", **fmt)
     p.set_defaults(handler=_cmd_angles)
 
     p = sub.add_parser("construct", help="build a known packing and write it as a frame file")
+    p.set_defaults(handler=_cmd_construct)
     csub = p.add_subparsers(dest="kind", required=True)
-    ps = csub.add_parser("simplex")
-    ps.add_argument("--n", type=int, required=True)
-    po = csub.add_parser("orthoplex")
-    po.add_argument("--d", type=int, required=True)
-    ph = csub.add_parser("harmonic")
-    ph.add_argument("--modulus", type=int, required=True)
-    ph.add_argument("--set", required=True, help="comma-separated residues, e.g. 1,2,4")
-    pt = csub.add_parser("tensor")
-    pt.add_argument("etf", help="frame file holding a c = 1 frame (ideally an ETF)")
-    pt.add_argument("--c", type=int, required=True)
-    for q in (ps, po, ph, pt):
-        q.add_argument("-o", "--output", default=None)
-        q.add_argument("--format", **fmt)
-        q.set_defaults(handler=_cmd_construct)
+    csub.add_parser("simplex", parents=[output]).add_argument("--n", type=int, required=True)
+    csub.add_parser("orthoplex", parents=[output]).add_argument("--d", type=int, required=True)
+    q = csub.add_parser("harmonic", parents=[output])
+    q.add_argument("--modulus", type=int, required=True)
+    q.add_argument("--set", required=True, help="comma-separated residues, e.g. 1,2,4")
+    q = csub.add_parser("tensor", parents=[output])
+    q.add_argument("etf", help="frame file holding a c = 1 frame (ideally an ETF)")
+    q.add_argument("--c", type=int, required=True)
 
-    p = sub.add_parser("pack", help="numerically search for a packing")
-    p.add_argument("--field", default="R")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("pack", parents=[shape, output], help="numerically search for a packing")
     p.add_argument("--criterion", choices=[k.value for k in Criterion], default="chordal")
     p.add_argument("--seed", type=int, default=0, help="seed of the random starting frames (default 0)")
     p.add_argument(
@@ -416,8 +408,6 @@ def _build_parser() -> _Parser:
         help="maximum number of restarts; the search stops after the first one within tolerance of the bound (default 10)",
     )
     p.add_argument("--iters", type=int, default=2000, help="maximum descent iterations per restart (default 2000)")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--format", **fmt)
     p.set_defaults(handler=_cmd_pack)
 
     return parser

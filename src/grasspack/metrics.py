@@ -282,20 +282,20 @@ def _frobenius_sq(stack: np.ndarray) -> np.ndarray:
 _PRODUCT_CHUNK = 4096
 
 
-def _pair_products(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _pair_products(blocks: np.ndarray, overlaps: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The per-pair statistics of M = G* G over a C-contiguous (P, c, c) stack of cross-Gramians G.
 
-    Returns ||G||_F^2, ||M||_F^2 and ||M - sigma_sq I||_F^2 for each pair,
-    and sigma_sq, the mean of ||G||_F^2 / c. M is formed _PRODUCT_CHUNK
-    pairs at a time and only its two norms outlive the chunk, so no
-    (P, c, c) stack of products is allocated. At c = 1, M is the overlap
-    itself.
+    ``overlaps`` is the stack's ||G||_F^2 (:func:`_frobenius_sq`), which
+    the caller has already formed. Returns ||M||_F^2 and
+    ||M - sigma_sq I||_F^2 for each pair, and sigma_sq, the mean of
+    ||G||_F^2 / c. M is formed _PRODUCT_CHUNK pairs at a time and only its
+    two norms outlive the chunk, so no (P, c, c) stack of products is
+    allocated. At c = 1, M is the overlap itself.
     """
-    overlaps = _frobenius_sq(blocks)
     c = blocks.shape[-1]
     sigma_sq = float(np.mean(overlaps / c))
     if c == 1:
-        return overlaps, overlaps * overlaps, np.square(overlaps - sigma_sq), sigma_sq
+        return overlaps * overlaps, np.square(overlaps - sigma_sq), sigma_sq
     # M[i, j] = sum_k conj(G[k, i]) G[k, j], one broadcast product per row
     # k of G. Each chunk is copied to a (c, c, pairs) layout first, so
     # that every ufunc loops along the pairs: on the (pairs, c, c) layout
@@ -318,7 +318,7 @@ def _pair_products(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         fourth[start : start + _PRODUCT_CHUNK] = _frobenius_sq(m)
         m -= shift
         dev_sq[start : start + _PRODUCT_CHUNK] = _frobenius_sq(m)
-    return overlaps, fourth, dev_sq, sigma_sq
+    return fourth, dev_sq, sigma_sq
 
 
 def _spectral_max(blocks: np.ndarray, overlaps: np.ndarray, fourth: np.ndarray) -> float:
@@ -345,8 +345,7 @@ def _spectral_max(blocks: np.ndarray, overlaps: np.ndarray, fourth: np.ndarray) 
     # could still hold the largest computed s_max. Bounds are compared
     # squared: upper^2 = ||M||_F^2.
     keep = fourth >= (lower * (1.0 - 16 * c * c * np.finfo(np.float64).eps)) ** 2
-    candidates = blocks if np.count_nonzero(keep) == len(keep) else blocks[keep]
-    return float(_svals(candidates)[:, 0].max()) ** 2
+    return float(_svals(blocks[keep])[:, 0].max()) ** 2
 
 
 @functools.lru_cache(maxsize=32)
@@ -413,17 +412,17 @@ def fusion_gram(f: FusionFrame) -> Mat:
 def _frame_operator(x: np.ndarray) -> np.ndarray:
     """X X* of the d x nc matrix X of all bases of an (n, d, c) stack.
 
-    A stack that fits in one product of at most _SERIAL_PRODUCT
-    multiply-adds, as every search frame does, takes X X* at once; a
-    larger one sums X X* over column chunks of that size, so every
-    product runs on the calling thread.
+    X X* is summed over column chunks of at most _SERIAL_PRODUCT
+    multiply-adds, so every product runs on the calling thread; a stack
+    that fits in one chunk, as every search frame does, takes one product.
     """
-    flat, depth = _flat(x), _depth(x)
-    if flat.size * depth <= _SERIAL_PRODUCT:
-        return flat @ flat.conj().T
-    width = max(1, _SERIAL_PRODUCT // (x.shape[1] * depth))
-    parts = np.split(flat, range(width, flat.shape[1], width), axis=1)
-    return sum(p @ p.conj().T for p in parts)
+    flat = _flat(x)
+    width = max(1, _SERIAL_PRODUCT // (x.shape[1] * _depth(x)))
+    s = flat[:, :width] @ flat[:, :width].conj().T
+    for start in range(width, flat.shape[1], width):
+        part = flat[:, start : start + width]
+        s += part @ part.conj().T
+    return s
 
 
 def fusion_frame_operator(f: FusionFrame) -> Mat:

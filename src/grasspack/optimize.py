@@ -222,10 +222,10 @@ def _worst_overlap(x: np.ndarray, criterion: Criterion) -> float:
     (``metrics._spectral_max``), and none at c = 1.
     """
     blocks = _pair_blocks(x)
+    overlaps = _frobenius_sq(blocks)
     if criterion is Criterion.CHORDAL_OVERLAP:
-        return float(_frobenius_sq(blocks).max())
-    overlaps, fourth, _, _ = _pair_products(blocks)
-    return _spectral_max(blocks, overlaps, fourth)
+        return float(overlaps.max())
+    return _spectral_max(blocks, overlaps, _pair_products(blocks, overlaps)[0])
 
 
 def worst_overlap(f: FusionFrame, criterion: Criterion) -> float:

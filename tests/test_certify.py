@@ -132,17 +132,17 @@ class TestEquiisoclinic:
         # matmul M = G* G gives, and a NaN in any block reaches the
         # deviation.
         blocks = _pair_blocks(random_frame(field, 6, 2, 12, 0).array)
-        whole = _pair_products(blocks)
+        whole = _pair_products(blocks, metrics._frobenius_sq(blocks))
         monkeypatch.setattr(metrics, "_PRODUCT_CHUNK", 7)
-        chunked = _pair_products(blocks)
+        chunked = _pair_products(blocks, metrics._frobenius_sq(blocks))
         assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
-        _, fourth, dev_sq, sigma_sq = chunked
+        fourth, dev_sq, sigma_sq = chunked
         m = blocks.conj().swapaxes(-2, -1) @ blocks
         assert np.allclose(fourth, np.linalg.norm(m, axis=(1, 2)) ** 2, rtol=0.0, atol=1e-13)
         assert np.allclose(dev_sq, np.linalg.norm(m - sigma_sq * np.eye(2), axis=(1, 2)) ** 2, rtol=0.0, atol=1e-13)
         blocks = blocks.copy()
         blocks[60, 1, 0] = math.nan
-        _, _, dev_sq, sigma_sq = _pair_products(blocks)
+        _, dev_sq, sigma_sq = _pair_products(blocks, metrics._frobenius_sq(blocks))
         res = certify_module._equiisoclinic(dev_sq, sigma_sq, 2, 1e-8)
         assert math.isnan(res.deviation) and not res.flag
 
@@ -154,7 +154,7 @@ def test_pair_products_keep_no_stack_of_products():
     blocks = _pair_blocks(random_frame(C, 20, 2, 400, 0).array)
     tracemalloc.start()
     try:
-        _pair_products(blocks)
+        _pair_products(blocks, metrics._frobenius_sq(blocks))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -439,6 +439,37 @@ class TestJsonContract:
             assert isinstance(json.loads(out, parse_constant=_reject_constant), dict), argv
 
 
+# One valid invocation of each command path; FRAME stands for a frame file.
+COMMAND_PATHS = {
+    "bounds": ["bounds", "--n", "3", "--d", "4", "--c", "2"],
+    "certify": ["certify", "FRAME"],
+    "angles": ["angles", "FRAME", "--i", "1", "--j", "2"],
+    "construct-simplex": ["construct", "simplex", "--n", "3"],
+    "construct-orthoplex": ["construct", "orthoplex", "--d", "3"],
+    "construct-harmonic": ["construct", "harmonic", "--modulus", "7", "--set", "1,2,4"],
+    "construct-tensor": ["construct", "tensor", "FRAME", "--c", "2"],
+    "pack": ["pack", "--d", "2", "--c", "1", "--n", "3", "--iters", "20", "--restarts", "1"],
+}
+
+
+@pytest.mark.parametrize("path", COMMAND_PATHS)
+def test_every_command_path_takes_the_shared_options(tmp_path, capsys, path):
+    # --format, and -o/--output where a frame is written, are declared
+    # once and shared by every command path.
+    frame = str(tmp_path / "etf.json")
+    save_frame(harmonic_etf(DifferenceSet(7, [1, 2, 4])), frame)
+    argv = [frame if arg == "FRAME" else arg for arg in COMMAND_PATHS[path]]
+    code, out, err = run_capture(capsys, *argv, "--format", "xml")
+    assert (code, out) == (1, "")
+    assert "argument --format: invalid choice" in err
+    if path.startswith("construct") or path == "pack":
+        target = str(tmp_path / "written.json")
+        code, out, err = run_capture(capsys, *argv, "--output", target, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["output"] == target
+        assert load_frame(target).n >= 2
+
+
 def _write_simplex_with(tmp_path, **changes) -> str:
     """A frame file holding regular_simplex(3) with the given top-level keys replaced."""
     obj = {**frame_to_json_obj(regular_simplex(3)), **changes}

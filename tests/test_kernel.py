@@ -323,6 +323,21 @@ class TestSeveralProducts:
             assert np.array_equal(g[jj * c : (jj + 1) * c, j * c : (j + 1) * c], g[j * c : (j + 1) * c, jj * c : (jj + 1) * c].conj().T)
 
 
+@pytest.mark.parametrize("field", [R, C], ids=["R", "C"])
+def test_frame_operator_over_one_and_two_chunks(monkeypatch, field):
+    # A frame exactly one chunk wide takes the one product X X*, bit for
+    # bit; one column wider, it is summed over two chunks.
+    n = 7
+    x = random_frame(field, 6, 2, n, 0).array
+    flat = metrics._flat(x)
+    ref = flat @ flat.conj().T
+    per_column = x.shape[1] * metrics._depth(x)
+    monkeypatch.setattr(metrics, "_SERIAL_PRODUCT", flat.shape[1] * per_column)
+    assert metrics._frame_operator(x).tobytes() == ref.tobytes()
+    monkeypatch.setattr(metrics, "_SERIAL_PRODUCT", (flat.shape[1] - 1) * per_column)
+    assert np.max(np.abs(metrics._frame_operator(x) - ref)) <= REL * n
+
+
 @given(st.integers(2, 300), st.integers(1, 4), st.integers(1, 400))
 def test_pair_plan_covers_every_pair_once_within_the_product_bound(n, c, depth):
     steps = metrics._pair_plan(n, c, depth)

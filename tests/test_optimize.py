@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from grasspack import construct, optimize
+from grasspack import construct, metrics, optimize
 from grasspack.bounds import eitff_bound, governing_bound, simplex_bound_gram
 from grasspack.certify import _verdict, certify
 from grasspack.construct import DifferenceSet, harmonic_etf, random_frame, regular_simplex, tensor_eitff
@@ -750,6 +750,17 @@ class TestPolishStage:
         assert flag == flagged
         assert len(measured) == len(products) == int(flagged)
         assert worst == (worst_overlap(f, Criterion.SPECTRAL_OVERLAP) if flagged else math.inf)
+
+    def test_a_flagged_eitff_verdict_takes_the_overlaps_once(self, monkeypatch):
+        # The overlaps ||G||_F^2 that set the ECTFF flag are the ones the
+        # products M = G* G and the spectral maximum read.
+        f = AT_BOUND["eitff-13x3"]
+        blocks, calls = _pair_blocks(f.array), []
+        for module in (importlib.import_module("grasspack.certify"), metrics):
+            frobenius_sq = module._frobenius_sq
+            monkeypatch.setattr(module, "_frobenius_sq", lambda stack, fn=frobenius_sq: calls.append(stack is blocks) or fn(stack))
+        assert _verdict(f.array, blocks, "eitff", DEFAULT_TOL)[0]
+        assert sum(calls) == 1
 
 
     @pytest.mark.parametrize("name", ["simplex", "eitff"])
