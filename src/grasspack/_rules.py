@@ -1,11 +1,12 @@
 """The package's shared scalar rules, in plain Python.
 
 The default tolerance, the numerical-failure exception, the field and
-criterion enums, and the checks of the three kinds of scalar argument a
-caller passes in (a field, a count, a tolerance). Nothing here imports
-numpy, so the closed-form bounds and the command-line parser can run
-without it. Every module that checks an argument imports its rule from
-here. ``linalg`` and ``optimize`` re-export the public names, and their
+criterion enums, the search's configuration record, and the checks of
+the four kinds of scalar argument a caller passes in (a field, a
+criterion, a count, a tolerance). Nothing here imports numpy, so the
+closed-form bounds and the command-line parser can run without it.
+Every module that checks an argument imports its rule from here.
+``linalg`` and ``optimize`` re-export the public names, and their
 ``__all__`` lists are where those are listed.
 """
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from dataclasses import dataclass
+from typing import ClassVar
 
 # Global default tolerance, calibrated for scale-1 quantities in double
 # precision. Every tolerance-taking operation accepts an override.
@@ -50,6 +53,12 @@ def _check_field(field) -> None:
         raise ValueError(f"field must be a FieldTag, got {field!r}")
 
 
+def _check_criterion(criterion) -> None:
+    """A criterion is a Criterion, by exact type: every objective call checks it."""
+    if type(criterion) is not Criterion:
+        raise ValueError(f"criterion must be a Criterion, got {criterion!r}")
+
+
 def _check_count(value, name: str, low: int | None = None) -> None:
     """A count is an integer that is not a bool; with ``low``, also at least ``low``."""
     integer = type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
@@ -63,3 +72,17 @@ def _check_tol(tol, name: str = "tol") -> None:
     real = type(tol) is float or (not isinstance(tol, bool) and isinstance(tol, numbers.Real))
     if not real or not 0.0 < tol < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+
+
+@dataclass(frozen=True)
+class PackConfig:
+    criterion: Criterion = Criterion.CHORDAL_OVERLAP
+    iterations: int = 2000
+    restarts: int = 10
+    seed: int = 0
+    tolerance: ClassVar[float] = DEFAULT_TOL  # not a field; bench/workloads.py reads it
+
+    def __post_init__(self):
+        for name, low in (("iterations", 1), ("restarts", 1), ("seed", 0)):
+            _check_count(getattr(self, name), name, low)
+        _check_criterion(self.criterion)

@@ -175,8 +175,8 @@ def _eitff_verdict(dev_sq: np.ndarray, sigma_sq: float, is_ectff: bool, shape: t
     return is_ectff and iso.flag and _near(iso.sigma_sq, bounds.eitff_bound(*shape), tol), iso
 
 
-def _verdict(x: np.ndarray, blocks: np.ndarray, name: str, tol: float) -> tuple[bool, float]:
-    """The flag of one structure, as :func:`certify` reports it, and the worst overlap its bound governs.
+def _verdict(x: np.ndarray, blocks: np.ndarray, name: str, tol: float) -> float:
+    """The worst overlap a bound governs, once its structure's flag, as :func:`certify` reports it, is set.
 
     ``blocks`` is ``metrics._pair_blocks(x)`` of an (n, d, c) stack. Under
     ``name`` "simplex" the flag is ``is_ectff``, read off the overlaps
@@ -190,10 +190,10 @@ def _verdict(x: np.ndarray, blocks: np.ndarray, name: str, tol: float) -> tuple[
     overlaps = _frobenius_sq(blocks)
     flag = _ectff_verdict(_tight(_frame_operator(x), x.shape, tol), overlaps, x.shape, tol)[0]
     if name == "simplex" or not flag:
-        return flag, float(overlaps.max()) if flag else math.inf
+        return float(overlaps.max()) if flag else math.inf
     fourth, dev_sq, sigma_sq = _pair_products(blocks, overlaps)
     flag = _eitff_verdict(dev_sq, sigma_sq, flag, x.shape, tol)[0]
-    return flag, _spectral_max(blocks, overlaps, fourth) if flag else math.inf
+    return _spectral_max(blocks, overlaps, fourth) if flag else math.inf
 
 
 def certify(f: FusionFrame, tol: float = DEFAULT_TOL) -> Certificate:

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 # functions that use them, so `bounds` starts without numpy and `certify`
 # and `angles` never load the search.
 from . import bounds as bounds_mod
-from ._rules import DEFAULT_TOL, Criterion, FieldTag, NumericalError, _check_count, _check_tol
+from ._rules import DEFAULT_TOL, Criterion, FieldTag, NumericalError, PackConfig, _check_count, _check_tol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -235,25 +235,16 @@ def _emit_frame(args, frame: FusionFrame, summary: dict, certificate: Certificat
 
 def _cmd_bounds(args) -> int:
     report = bounds_mod.bound_report(args.n, args.d, args.c, _parse_field(args.field))
-    rows = [
-        ("welch", report.welch),
-        ("simplex chordal", report.simplex_chordal),
-        ("simplex gram", report.simplex_gram),
-        ("eitff spectral", report.eitff_spectral),
-        ("orthoplex chordal", report.orthoplex_chordal),
-        ("orthoplex gram", report.orthoplex_gram),
-        ("intersection gram", report.intersection_gram),
-        ("gerzon limit", report.gerzon),
-        ("traceless dim", report.traceless_dim),
-    ]
+    payload = report.as_dict()
     lines = [f"parameters: n={report.n} d={report.d} c={report.c} field={report.field.value}"]
-    for label, value in rows:
+    for name, value in list(payload.items())[4:-1]:  # the bounds, between (n, d, c, field) and notes
+        label = "gerzon limit" if name == "gerzon" else name.replace("_", " ")
         line = f"{label + ':':<19}{_fmt(value)}"
-        note = report.notes.get(label.split()[0], "")  # a note is keyed by the bound's name
+        note = report.notes.get(name.split("_")[0], "")  # a note is keyed by the bound's name
         if value is None and note:
             line += f"  ({note})"
         lines.append(line)
-    return _report(args, report.as_dict(), lines)
+    return _report(args, payload, lines)
 
 
 def _cmd_certify(args) -> int:
@@ -331,14 +322,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_pack(args) -> int:
+    config = PackConfig(criterion=Criterion(args.criterion), iterations=args.iters, restarts=args.restarts, seed=args.seed)
     from . import optimize as optimize_mod
 
-    config = optimize_mod.PackConfig(
-        criterion=Criterion(args.criterion),
-        iterations=args.iters,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
     result = optimize_mod.pack(_parse_field(args.field), args.d, args.c, args.n, config)
     summary = {
         "criterion": args.criterion,
@@ -399,15 +385,15 @@ def _build_parser() -> _Parser:
     q.add_argument("--c", type=int, required=True)
 
     p = sub.add_parser("pack", parents=[shape, output], help="numerically search for a packing")
-    p.add_argument("--criterion", choices=[k.value for k in Criterion], default="chordal")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random starting frames (default 0)")
+    p.add_argument("--criterion", choices=[k.value for k in Criterion], default=PackConfig.criterion.value)
+    p.add_argument("--seed", type=int, default=PackConfig.seed, help="seed of the random starting frames (default %(default)s)")
     p.add_argument(
         "--restarts",
         type=int,
-        default=10,
-        help="maximum number of restarts; the search stops after the first one within tolerance of the bound (default 10)",
+        default=PackConfig.restarts,
+        help="maximum number of restarts; the search stops after the first one within tolerance of the bound (default %(default)s)",
     )
-    p.add_argument("--iters", type=int, default=2000, help="maximum descent iterations per restart (default 2000)")
+    p.add_argument("--iters", type=int, default=PackConfig.iterations, help="maximum descent iterations per restart (default %(default)s)")
     p.set_defaults(handler=_cmd_pack)
 
     return parser

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bounds import _check_pair
-from .linalg import DEFAULT_TOL, FieldTag, Mat, _eigh, _field_array, _FieldArray, _qr_columns, _svals, singular_values
+from .linalg import DEFAULT_TOL, FieldTag, Mat, _eigh, _field_array, _FieldArray, _qr_columns, _svals
 
 __all__ = [
     "FusionFrame",
@@ -430,33 +430,41 @@ def fusion_frame_operator(f: FusionFrame) -> Mat:
     return Mat(_frame_operator(f.array), f.field)
 
 
+def _residual(b1: SubspaceBasis, b2: SubspaceBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The cross-Gramian G and A_2 - A_1 G, the part of b2's basis orthogonal to b1's subspace."""
+    _require_compatible(b1, b2)
+    g = b1.array.conj().T @ b2.array
+    return g, b2.array - b1.array @ g
+
+
 def principal_angles(b1: SubspaceBasis, b2: SubspaceBasis) -> PrincipalAngles:
     """Principal angles between two subspaces.
 
-    The cosines are the singular values of the cross-Gramian, clamped to
-    [0, 1] before arccos since round-off can push them past 1 by ~1e-16.
-    Invariant under the choice of orthonormal bases.
+    The cosines are the singular values of the cross-Gramian G and the
+    sines those of A_2 - A_1 G (Bjorck and Golub, Math. Comp. 1973). An
+    angle whose sine is below sqrt(1/2) is the arcsine of that sine, and
+    any other the arccosine of its cosine, so a small angle keeps its
+    relative accuracy. Invariant under the choice of orthonormal bases.
     """
-    s = singular_values(cross_gramian(b1, b2))
-    return PrincipalAngles(np.arccos(np.clip(s, 0.0, 1.0)))
+    g, r = _residual(b1, b2)
+    sines = np.minimum(_svals(r)[::-1], 1.0)
+    return PrincipalAngles(np.where(sines < math.sqrt(0.5), np.arcsin(sines), np.arccos(np.minimum(_svals(g), 1.0))))
 
 
 def chordal_distance_sq(b1: SubspaceBasis, b2: SubspaceBasis) -> float:
     """Squared chordal distance between two subspaces, in [0, c].
 
-    Equals half the squared Frobenius distance of the projections,
-    c - ||cross-Gramian||_F^2, and the sum of squared sines of the
-    principal angles.
+    Equals half the squared Frobenius distance of the projections, the
+    sum of squared sines of the principal angles and c - ||G||_F^2; it is
+    computed as ||A_2 - A_1 G||_F^2, accurate for nearby subspaces too.
     """
-    g = cross_gramian(b1, b2)
-    val = b1.c - float(np.vdot(g.array, g.array).real)
-    return min(max(val, 0.0), float(b1.c))
+    r = _residual(b1, b2)[1]
+    return min(float(np.vdot(r, r).real), float(b1.c))
 
 
 def spectral_distance_sq(b1: SubspaceBasis, b2: SubspaceBasis) -> float:
-    """Squared sine of the smallest principal angle: 1 - ||cross-Gramian||_2^2."""
-    s_max = float(singular_values(cross_gramian(b1, b2))[0])
-    return max(0.0, 1.0 - min(s_max, 1.0) ** 2)
+    """Squared sine of the smallest principal angle (1 - ||G||_2^2), from A_2 - A_1 G."""
+    return min(float(_svals(_residual(b1, b2)[1])[-1]) ** 2, 1.0)
 
 
 def geodesic_distance(b1: SubspaceBasis, b2: SubspaceBasis) -> float:

@@ -56,12 +56,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import bounds
-from ._rules import Criterion, _check_count
+from ._rules import Criterion, PackConfig, _check_criterion
 from .certify import Certificate, _verdict, certify
 from .construct import random_frame
 from .linalg import DEFAULT_TOL, FieldTag, NumericalError, _qr_columns, _svd
@@ -111,26 +111,6 @@ POLISH_SWEEPS = 200
 POLISH_MARGIN = 0.01
 # The bounds whose optimal structure (ECTFF or EITFF) the polish projects onto.
 _STRUCTURES = ("simplex", "eitff")
-
-
-def _check_criterion(criterion) -> None:
-    """A criterion is a Criterion, by exact type: every objective call checks it."""
-    if type(criterion) is not Criterion:
-        raise ValueError(f"criterion must be a Criterion, got {criterion!r}")
-
-
-@dataclass(frozen=True)
-class PackConfig:
-    criterion: Criterion = Criterion.CHORDAL_OVERLAP
-    iterations: int = 2000
-    restarts: int = 10
-    seed: int = 0
-    tolerance: ClassVar[float] = DEFAULT_TOL  # not a field; bench/workloads.py reads it
-
-    def __post_init__(self):
-        for name, low in (("iterations", 1), ("restarts", 1), ("seed", 0)):
-            _check_count(getattr(self, name), name, low)
-        _check_criterion(self.criterion)
 
 
 @dataclass(frozen=True)
@@ -296,15 +276,14 @@ def _polish_stage(x: np.ndarray, achieved: float, governing: tuple[float, str]) 
     projection); Tropp, Dhillon, Heath and Strohmer, IEEE Trans. Inf.
     Theory 2005, and Dhillon, Heath, Strohmer and Tropp, Exp. Math. 2008.
     Each sweep forms the stack's pair blocks once, for both its check and
-    its projection. The check is ``certify._verdict``: the certificate's
-    flag of the bound's structure (ECTFF or EITFF) and, once it is set,
-    the worst overlap the bound governs, which is the true criterion
-    value. The polish stops once the flag is set at POLISH_MARGIN *
-    DEFAULT_TOL with that overlap at most that much above the bound, so
-    the result holds its certificate with margin. Otherwise it stops
-    after POLISH_SWEEPS sweeps and then needs the flag at DEFAULT_TOL
-    itself. Returns the polished stack and the overlap its last check
-    measured when the flag is set and that overlap is at most
+    its projection. The check is ``certify._verdict``: the worst overlap
+    the bound governs, which is the true criterion value, once the
+    certificate's flag of the bound's structure (ECTFF or EITFF) is set,
+    and inf before. The polish stops once that check, at POLISH_MARGIN *
+    DEFAULT_TOL, is at most that much above the bound, so the result
+    holds its certificate with margin. Otherwise it stops after
+    POLISH_SWEEPS sweeps and then checks at DEFAULT_TOL itself. Returns
+    the polished stack and its last check when that is at most
     ``achieved``; otherwise None.
     """
     value, name = governing
@@ -312,13 +291,13 @@ def _polish_stage(x: np.ndarray, achieved: float, governing: tuple[float, str]) 
     polished = x
     for _ in range(POLISH_SWEEPS):
         blocks = _pair_blocks(polished)
-        flag, worst = _verdict(polished, blocks, name, strict)
-        if flag and worst - value <= strict:
+        worst = _verdict(polished, blocks, name, strict)
+        if worst - value <= strict:
             break
         polished = _gram_to_frame(_structural_projection(blocks, governing), *x.shape[:2])
     else:
-        flag, worst = _verdict(polished, _pair_blocks(polished), name, DEFAULT_TOL)
-    return (polished, worst) if flag and worst <= achieved else None
+        worst = _verdict(polished, _pair_blocks(polished), name, DEFAULT_TOL)
+    return (polished, worst) if worst <= achieved else None
 
 
 def _restart(start: np.ndarray, governing: tuple[float, str], config: PackConfig) -> tuple[np.ndarray, float, int]:

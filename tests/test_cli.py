@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 from grasspack.certify import certify
-from grasspack.cli import frame_from_json_obj, frame_to_json_obj, load_frame, run, save_frame
+from grasspack.cli import _build_parser, frame_from_json_obj, frame_to_json_obj, load_frame, run, save_frame
 from grasspack.construct import DifferenceSet, harmonic_etf, regular_simplex, tensor_eitff
 from grasspack.linalg import FieldTag, NumericalError
 from grasspack.metrics import FusionFrame
+from grasspack.optimize import Criterion, PackConfig
 
 from conftest import child_env
 
@@ -367,6 +369,17 @@ class TestPackCommand:
         assert out == ""
         assert err.startswith(f"error: {field} must be an integer >= ")
 
+    def test_pack_defaults_are_the_library_defaults(self, capsys):
+        args = _build_parser().parse_args(["pack", "--d", "2", "--c", "1", "--n", "3"])
+        parsed = PackConfig(Criterion(args.criterion), args.iters, args.restarts, args.seed)
+        assert parsed == PackConfig()
+        code, out, _ = run_capture(capsys, "pack", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        for flag, name in (("--seed SEED", "seed"), ("--restarts RESTARTS", "restarts"), ("--iters ITERS", "iterations")):
+            shown = re.search(rf"{flag} [^(]*\(default (\d+)\)", text)
+            assert shown is not None and int(shown.group(1)) == getattr(PackConfig(), name)
+
     def test_numerical_failure_maps_to_exit_2(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("diverged")
@@ -653,6 +666,18 @@ def test_each_command_loads_only_the_layers_it_uses(tmp_path, command):
     assert exit_code == 0
     assert used in loaded
     assert absent.isdisjoint(loaded)
+
+
+def test_a_bad_pack_count_is_rejected_before_numpy_loads():
+    code = (
+        "import json, sys\n"
+        "from grasspack.cli import run\n"
+        "code = run(['pack', '--d', '2', '--c', '1', '--n', '3', '--restarts', '0'])\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120)
+    assert json.loads(proc.stdout) == [1, False]
+    assert proc.stderr == "error: restarts must be an integer >= 1, got 0\n"
 
 
 class TestHumanOutput:
